@@ -53,6 +53,7 @@ from .search import (
     revalidate_report_dict,
     run_search,
     verify_genus_p_minus_1,
+    verify_p_rank_witnesses,
     verify_theorem1,
 )
 

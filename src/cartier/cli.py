@@ -13,6 +13,7 @@ input (even-degree model), 4 budget exceeded.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -25,13 +26,12 @@ from .search import (
     DEFAULT_SEED,
     SCHEMA,
     BudgetExceededError,
-    ConsistencyReport,
     SearchReport,
     SearchSpec,
-    find_p_rank_witnesses,
     reproduce_script,
     run_search,
     verify_genus_p_minus_1,
+    verify_p_rank_witnesses,
     verify_theorem1,
 )
 
@@ -207,8 +207,6 @@ def _cmd_search(args) -> int:
     degree = args.degree if args.degree is not None else 2 * args.genus + 1
     factor = parse_poly(field, args.factor) if args.factor else None
     fixed = _parse_fix(field, args.fix)
-    cof_deg = degree - (int(factor.degree) if factor is not None else 0)
-    free = tuple(i for i in range(cof_deg + 1) if i not in fixed)
     if args.random:
         samples = args.samples if args.samples is not None else 1_000_000
         seed = args.seed if args.seed is not None else DEFAULT_SEED
@@ -223,7 +221,7 @@ def _cmd_search(args) -> int:
         field=field,
         degree=degree,
         fixed=fixed,
-        free=free,
+        free=(),
         mode=mode,
         samples=samples,
         seed=seed,
@@ -234,6 +232,8 @@ def _cmd_search(args) -> int:
         prefilter=not args.no_prefilter,
         factor=factor,
     )
+    free = tuple(i for i in range(spec.cofactor_degree + 1) if i not in fixed)
+    spec = dataclasses.replace(spec, free=free)
     report = run_search(spec, threads=args.threads, budget=args.budget)
     _emit(_report_text(report, args.csv), args.out)
     print(
@@ -258,25 +258,8 @@ def _cmd_verify(args) -> int:
     else:
         if args.p is None:
             raise ValueError("verify p-rank-witnesses needs --p")
-        split = find_p_rank_witnesses(
+        result = verify_p_rank_witnesses(
             args.p, threads=args.threads, budget=args.budget
-        )
-        expected = {"count_p_rank_0": ">= 1", "count_p_rank_1": ">= 1"}
-        passed = split.count_p_rank_0 >= 1 and split.count_p_rank_1 >= 1
-        if args.p == 7:
-            expected["ordering"] = "count_p_rank_1 > count_p_rank_0"
-            passed = passed and split.count_p_rank_1 > split.count_p_rank_0
-        result = ConsistencyReport(
-            claim="p-rank-witnesses",
-            parameters={"p": args.p, "k": 1, "genus": split.genus},
-            expected=expected,
-            observed={
-                "count_p_rank_0": split.count_p_rank_0,
-                "count_p_rank_1": split.count_p_rank_1,
-                "witnesses_p_rank_0": [w.fragment() for w in split.rank0.witnesses],
-                "witnesses_p_rank_1": [w.fragment() for w in split.rank1.witnesses],
-            },
-            passed=passed,
         )
     _emit(_json(result.to_dict()), args.out)
     status = "PASS" if result.passed else "FAIL"

@@ -50,6 +50,7 @@ __all__ = [
     "forward_form_check",
     "reproduce_script",
     "find_p_rank_witnesses",
+    "verify_p_rank_witnesses",
     "revalidate_report_dict",
 ]
 
@@ -96,6 +97,8 @@ class SearchSpec:
     def cofactor_degree(self) -> int:
         d = self.degree
         if self.factor is not None:
+            if self.factor.is_zero:
+                raise ValueError("fixed factor must be nonzero")
             d -= int(self.factor.degree)
         return d
 
@@ -106,11 +109,15 @@ class SearchSpec:
 def _validate_spec(spec: SearchSpec) -> None:
     if spec.degree < 3 or spec.degree % 2 == 0:
         raise ValueError(f"search degree must be odd and >= 3, got {spec.degree}")
+    cap = _kernel.TableKernel.MAX_ORDER
+    if spec.field.order > cap:
+        raise ValueError(
+            f"searches need a field of order <= {cap}, got {spec.field.order} "
+            "(single-curve invariants have no cap)"
+        )
     if spec.factor is not None:
         if spec.factor.spec != spec.field:
             raise ValueError("fixed factor is over a different field")
-        if spec.factor.is_zero:
-            raise ValueError("fixed factor must be nonzero")
     cof_deg = spec.cofactor_degree
     if cof_deg < 0:
         raise ValueError("fixed factor degree exceeds the search degree")
@@ -638,6 +645,31 @@ def find_p_rank_witnesses(
         )
         reports.append(run_search(spec, threads=threads, budget=budget))
     return PRankWitnessReport(p=p, genus=genus, rank0=reports[0], rank1=reports[1])
+
+
+def verify_p_rank_witnesses(
+    p: int, *, threads: int = 1, budget: int = DEFAULT_BUDGET
+) -> ConsistencyReport:
+    """Both p-ranks 0 and 1 occur among smooth genus-3 curves with a = 2;
+    at p = 7 the p-rank-1 curves also outnumber the p-rank-0 ones."""
+    split = find_p_rank_witnesses(p, threads=threads, budget=budget)
+    expected = {"count_p_rank_0": ">= 1", "count_p_rank_1": ">= 1"}
+    passed = split.count_p_rank_0 >= 1 and split.count_p_rank_1 >= 1
+    if p == 7:
+        expected["ordering"] = "count_p_rank_1 > count_p_rank_0"
+        passed = passed and split.count_p_rank_1 > split.count_p_rank_0
+    return ConsistencyReport(
+        claim="p-rank-witnesses",
+        parameters={"p": p, "k": 1, "genus": split.genus},
+        expected=expected,
+        observed={
+            "count_p_rank_0": split.count_p_rank_0,
+            "count_p_rank_1": split.count_p_rank_1,
+            "witnesses_p_rank_0": [w.fragment() for w in split.rank0.witnesses],
+            "witnesses_p_rank_1": [w.fragment() for w in split.rank1.witnesses],
+        },
+        passed=passed,
+    )
 
 
 def revalidate_report_dict(doc: dict) -> list[str]:

@@ -238,3 +238,32 @@ class TestArgumentErrors:
             capsys, "search", "--p", "3", "--genus", "2", "--fix", "c0=0,c5=1"
         )
         assert code == 2
+
+    def test_zero_factor_exits_2(self, capsys):
+        code, _, err = run_cli(
+            capsys,
+            "search",
+            "--p", "7", "--genus", "1",
+            "--exhaustive", "--fix", "c0=0,c3=1", "--factor", "0",
+        )
+        assert code == 2
+        assert err.startswith("error: invalid-input:")
+
+    @pytest.mark.parametrize("field", [["--p", "1031"], ["--p", "3", "--k", "7"]])
+    def test_field_above_search_cap_exits_2_before_drawing(
+        self, capsys, monkeypatch, field
+    ):
+        import cartier.search as search
+
+        def no_draws(*args):
+            raise AssertionError("candidates drawn for an oversized field")
+
+        monkeypatch.setattr(search, "_make_tasks", no_draws)
+        code, _, err = run_cli(
+            capsys,
+            "search", *field, "--genus", "2", "--fix", "c0=0,c5=1",
+            "--random", "--samples", "5", "--seed", "1",
+        )
+        assert code == 2
+        assert err.startswith("error: invalid-input:")
+        assert "order <= 1024" in err

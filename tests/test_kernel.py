@@ -20,11 +20,10 @@ from cartier.invariants import rank as obj_rank
 FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (7, 2)]
 
 
-def _kernels(p, k, modulus):
-    kerns = [get_kernel(p, k, modulus)]
-    if k == 1:
-        kerns.append(get_kernel(p, k, modulus, force_table=True))
-    return kerns
+def _encodings(poly, length):
+    """The first ``length`` coefficient encodings of ``poly``, zero-padded."""
+    encs = [c.encoding for c in poly.coeffs[:length]]
+    return encs + [0] * (length - len(encs))
 
 
 @pytest.mark.parametrize("p,k", FIELDS)
@@ -32,54 +31,61 @@ def test_kernel_matches_object_layer_on_random_curves(p, k):
     F = make_field(p, k)
     e = (p - 1) // 2
     rng = random.Random(100 * p + k)
-    for kern in _kernels(p, k, F.modulus):
-        for _ in range(150):
-            deg = rng.choice([3, 5, 7, 9])
-            g = (deg - 1) // 2
-            enc = [rng.randrange(F.order) for _ in range(deg)] + [
-                rng.randrange(1, F.order)
-            ]
-            f = Poly.from_ints(F, enc)
-            assert kern.is_squarefree(list(enc)) == is_squarefree(f)
+    kern = get_kernel(p, k, F.modulus)
+    for _ in range(150):
+        deg = rng.choice([3, 5, 7, 9])
+        g = (deg - 1) // 2
+        enc = [rng.randrange(F.order) for _ in range(deg)] + [
+            rng.randrange(1, F.order)
+        ]
+        f = Poly.from_ints(F, enc)
+        assert kern.is_squarefree(list(enc)) == is_squarefree(f)
 
-            kappa = kern.poly_pow(list(enc), e) if e > 1 else list(enc)
-            assert kappa == [c.encoding for c in half_power(f).coeffs]
+        kappa = kern.poly_pow(list(enc), e) if e > 1 else list(enc)
+        assert kappa == [c.encoding for c in half_power(f).coeffs]
 
-            curve = make_curve(f)
-            m = cartier_matrix(curve)
-            rows = matrix_rows(kappa, g, p)
-            assert rows == [[x.encoding for x in row] for row in m.entries]
-            assert kern.rank([r[:] for r in rows]) == obj_rank(m)
-            assert kern.p_rank(rows, g) == obj_p_rank(curve)
+        curve = make_curve(f)
+        m = cartier_matrix(curve)
+        rows = matrix_rows(kappa, g, p)
+        assert rows == [[x.encoding for x in row] for row in m.entries]
+        assert kern.rank([r[:] for r in rows]) == obj_rank(m)
+        assert kern.p_rank(rows, g) == obj_p_rank(curve)
 
-            # prefilter rows must be the true first and last matrix rows
-            r1, rg = end_rows(kern, list(enc), g)
-            assert r1 == rows[0]
-            assert rg == rows[-1]
-            # and a prefilter rejection must be a genuine rank >= 2 proof
-            if not rows_could_be_rank_le_1(kern, r1, rg):
-                assert obj_rank(m) >= 2
+        # prefilter rows must be the true first and last matrix rows
+        r1, rg = end_rows(kern, list(enc), g)
+        assert r1 == rows[0]
+        assert rg == rows[-1]
+        # and a prefilter rejection must be a genuine rank >= 2 proof
+        if not rows_could_be_rank_le_1(kern, r1, rg):
+            assert obj_rank(m) >= 2
 
 
 def test_kernel_exhaustive_over_f3_degree5():
     F = make_field(3)
-    for kern in _kernels(3, 1, F.modulus):
-        for cs in itertools.product(range(3), repeat=5):
-            enc = [*cs, 1]
-            f = Poly.from_ints(F, enc)
-            assert kern.is_squarefree(list(enc)) == is_squarefree(f), enc
+    kern = get_kernel(3, 1, F.modulus)
+    for cs in itertools.product(range(3), repeat=5):
+        enc = [*cs, 1]
+        f = Poly.from_ints(F, enc)
+        assert kern.is_squarefree(list(enc)) == is_squarefree(f), enc
 
 
-def test_prime_and_table_kernels_agree():
-    F = make_field(5)
-    prime = get_kernel(5, 1, F.modulus)
-    table = get_kernel(5, 1, F.modulus, force_table=True)
-    rng = random.Random(9)
+@pytest.mark.parametrize("p,k", FIELDS)
+def test_kernel_products_match_object_layer(p, k):
+    F = make_field(p, k)
+    kern = get_kernel(p, k, F.modulus)
+    rng = random.Random(9 + 100 * p + k)
     for _ in range(200):
-        a = [rng.randrange(5) for _ in range(rng.randrange(1, 9))]
-        b = [rng.randrange(5) for _ in range(rng.randrange(1, 9))]
-        assert prime.poly_mul(a, b) == table.poly_mul(a, b)
-        assert prime.poly_mul_trunc(a, b, 4) == table.poly_mul_trunc(a, b, 4)
+        a = [rng.randrange(F.order) for _ in range(rng.randrange(1, 9))]
+        b = [rng.randrange(F.order) for _ in range(rng.randrange(1, 9))]
+        n = rng.randrange(1, 12)
+        e = rng.randrange(1, 8)
+        pa, pb = Poly.from_ints(F, a), Poly.from_ints(F, b)
+        full = len(a) + len(b) - 1
+        assert kern.poly_mul(a, b) == _encodings(pa * pb, full)
+        assert kern.poly_mul_trunc(a, b, n) == _encodings(pa * pb, min(n, full))
+        assert kern.poly_pow_trunc(a, e, n) == _encodings(
+            pa**e, min(n, e * (len(a) - 1) + 1)
+        )
 
 
 def test_scan_counts_match_object_brute_force():

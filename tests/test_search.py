@@ -18,6 +18,7 @@ from cartier import (
     revalidate_report_dict,
     run_search,
     verify_genus_p_minus_1,
+    verify_p_rank_witnesses,
     verify_theorem1,
 )
 from cartier.search import monic_odd_family
@@ -283,6 +284,13 @@ class TestVerifySuites:
         for w in split.rank1.witnesses:
             assert w.invariants.p_rank == 1
             assert w.invariants.a_number <= w.invariants.genus - w.invariants.p_rank
+
+    def test_p_rank_witnesses_verdict(self):
+        # no a = g-1 curve exists at genus >= p, so p = 3 fails
+        assert not verify_p_rank_witnesses(3).passed
+        rep = verify_p_rank_witnesses(7)
+        assert rep.passed and "ordering" in rep.expected
+        assert rep.observed["count_p_rank_1"] > rep.observed["count_p_rank_0"]
 
 
 class TestForwardFormCheck:
