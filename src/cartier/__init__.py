@@ -42,6 +42,7 @@ from .search import (
     ConsistencyReport,
     FormCheckResult,
     PRankWitnessReport,
+    RevalidationError,
     SearchCounts,
     SearchReport,
     SearchSpec,

@@ -7,7 +7,9 @@ clean.  Reports never contain wall-clock timing, which keeps identical flags
 byte-identical across runs and thread counts; timing is reported on stderr.
 
 Exit codes: 0 ok, 1 verification failure, 2 invalid input, 3 unsupported
-input (even-degree model), 4 budget exceeded.
+input (even-degree model), 4 candidate budget exceeded, 5 out of resources
+(a worker process died or memory ran out), 6 internal error (the object layer
+rejected a witness the kernel found).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 from .fields import FieldSpec, make_field, parse_element, _split_csv
@@ -26,6 +29,7 @@ from .search import (
     DEFAULT_SEED,
     SCHEMA,
     BudgetExceededError,
+    RevalidationError,
     SearchReport,
     SearchSpec,
     reproduce_script,
@@ -118,7 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=DEFAULT_BUDGET,
-        help="exhaustive candidate cap (default 2^32)",
+        help="cap on exhaustive candidates or random samples (default 2^32)",
     )
     _output_args(p_search)
 
@@ -321,6 +325,12 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"error: budget: {exc}", file=sys.stderr)
         return 4
+    except RevalidationError as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return 6
+    except (BrokenProcessPool, MemoryError) as exc:
+        print(f"error: resource: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 5
     except UnsupportedDegreeError as exc:
         print(f"error: unsupported: {exc}", file=sys.stderr)
         return 3

@@ -19,6 +19,7 @@ for.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from array import array
@@ -36,6 +37,7 @@ __all__ = [
     "DEFAULT_SEED",
     "DEFAULT_BUDGET",
     "BudgetExceededError",
+    "RevalidationError",
     "SearchSpec",
     "SearchCounts",
     "Witness",
@@ -61,7 +63,12 @@ _RANDOM_SHARD_SAMPLES = 100_000
 
 
 class BudgetExceededError(ValueError):
-    """Exhaustive candidate space exceeds the configured budget."""
+    """The candidate count (exhaustive space or random samples) exceeds the
+    configured budget."""
+
+
+class RevalidationError(RuntimeError):
+    """The object layer disagrees with the kernel on a collected witness."""
 
 
 @dataclass(frozen=True)
@@ -284,6 +291,10 @@ def _make_tasks(spec: SearchSpec, budget: int) -> list[dict]:
         if not spec.free:
             return [dict(base, top=None)]
         return [dict(base, top=v) for v in range(q)]
+    if spec.samples > budget:
+        raise BudgetExceededError(
+            f"{spec.samples} random samples exceed budget {budget}"
+        )
     # random: one shared stream, sample-major, ascending free index
     rng = random.Random(spec.seed)
     nf = len(spec.free)
@@ -323,13 +334,13 @@ def _decode_witness(spec: SearchSpec, encodings: list[int]) -> Witness:
     f = Poly.from_ints(spec.field, encodings)
     inv = invariants(f)
     if spec.require_smooth and not inv.smooth:
-        raise RuntimeError(f"witness re-validation failed (not smooth): {f}")
+        raise RevalidationError(f"witness re-validation failed (not smooth): {f}")
     if spec.target_a is not None and inv.a_number != spec.target_a:
-        raise RuntimeError(
+        raise RevalidationError(
             f"witness re-validation failed (a={inv.a_number}, wanted {spec.target_a}): {f}"
         )
     if spec.target_p_rank is not None and inv.p_rank != spec.target_p_rank:
-        raise RuntimeError(
+        raise RevalidationError(
             f"witness re-validation failed (p-rank={inv.p_rank}, "
             f"wanted {spec.target_p_rank}): {f}"
         )
@@ -341,20 +352,29 @@ def run_search(
 ) -> SearchReport:
     """Enumerate or sample the family, filter, count, and collect witnesses.
 
-    Every collected witness is re-validated through the object layer before
+    Every reported witness is re-validated through the object layer before
     it enters the report, which doubles as a kernel/reference cross-check on
-    each match.
+    each match.  With a worker pool the merged, truncated witness list is
+    re-validated on the same pool, in witness order.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     _validate_spec(spec)
     t0 = time.perf_counter()
     tasks = _make_tasks(spec, budget)
     if threads <= 1 or len(tasks) <= 1:
         results = [_kernel.scan(t) for t in tasks]
+        counts, wit_encs = _merge(spec, results)
+        witnesses = tuple(_decode_witness(spec, enc) for enc in wit_encs)
     else:
-        with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
+        workers = min(threads, len(tasks))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_kernel.scan, tasks))
-    counts, wit_encs = _merge(spec, results)
-    witnesses = tuple(_decode_witness(spec, enc) for enc in wit_encs)
+            counts, wit_encs = _merge(spec, results)
+            # about four chunks per worker: few round trips, balanced tails
+            chunk = max(1, len(wit_encs) // (4 * workers))
+            decode = functools.partial(_decode_witness, spec)
+            witnesses = tuple(pool.map(decode, wit_encs, chunksize=chunk))
     elapsed_ms = int(round((time.perf_counter() - t0) * 1000))
     return SearchReport(
         spec=spec,

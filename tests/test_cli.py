@@ -1,8 +1,14 @@
+import dataclasses
 import json
+import os
 
 import pytest
 
 from cartier.cli import main
+
+
+def _dead_worker(task):
+    os._exit(1)
 
 
 def run_cli(capsys, *argv):
@@ -267,3 +273,82 @@ class TestArgumentErrors:
         assert code == 2
         assert err.startswith("error: invalid-input:")
         assert "order <= 1024" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search", "--p", "3", "--genus", "2", "--fix", "c0=0,c5=1",
+             "--exhaustive"],
+            ["verify", "theorem1", "--p", "3", "--genus", "3"],
+            ["reproduce", "--script", "2", "--samples", "10"],
+        ],
+    )
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exits_2(self, capsys, argv, threads):
+        code, out, err = run_cli(capsys, *argv, "--threads", threads)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: invalid-input:")
+        assert "threads must be >= 1" in err
+
+    def test_random_samples_over_budget_exits_4_before_drawing(
+        self, capsys, monkeypatch
+    ):
+        import cartier.search as search
+
+        def no_draws(*args):
+            raise AssertionError("sample drawn for a search over budget")
+
+        monkeypatch.setattr(search, "_rand_below", no_draws)
+        code, out, err = run_cli(
+            capsys,
+            "search", "--p", "5", "--genus", "2", "--fix", "c0=0,c5=1",
+            "--random", "--samples", "100", "--budget", "10",
+        )
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: budget:")
+
+
+class TestFailureExitCodes:
+    WITNESS_SEARCH = (
+        "search", "--p", "3", "--genus", "2", "--fix", "c0=0,c5=1",
+        "--exhaustive", "--require-smooth", "--target-a", "1",
+    )
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_revalidation_failure_exits_6(self, capsys, monkeypatch, threads):
+        # the object layer disagrees with the kernel on every witness; at
+        # --threads 2 the disagreement is found on a pool worker
+        import cartier.search as search
+
+        real = search.invariants
+        monkeypatch.setattr(
+            search, "invariants", lambda f: dataclasses.replace(real(f), a_number=2)
+        )
+        code, out, err = run_cli(capsys, *self.WITNESS_SEARCH, "--threads", threads)
+        assert code == 6
+        assert out == ""
+        assert err.startswith("error: internal:")
+        assert "a=2, wanted 1" in err
+
+    def test_dead_worker_exits_5(self, capsys, monkeypatch):
+        import cartier._kernel as _kernel
+
+        monkeypatch.setattr(_kernel, "scan", _dead_worker)
+        code, out, err = run_cli(capsys, *self.WITNESS_SEARCH, "--threads", "2")
+        assert code == 5
+        assert out == ""
+        assert err.startswith("error: resource: BrokenProcessPool")
+
+    def test_memory_error_exits_5(self, capsys, monkeypatch):
+        import cartier.search as search
+
+        def out_of_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(search, "_make_tasks", out_of_memory)
+        code, out, err = run_cli(capsys, *self.WITNESS_SEARCH)
+        assert code == 5
+        assert out == ""
+        assert err.startswith("error: resource: MemoryError")

@@ -107,11 +107,21 @@ class TestPrefilter:
 
 class TestDeterminism:
     def test_threads_do_not_change_report(self, F5):
-        spec = monic_odd_family(F5, 3, target_a=2, require_smooth=True)
-        docs = {
-            t: json.dumps(run_search(spec, threads=t).to_dict()) for t in (1, 2, 4)
-        }
-        assert docs[1] == docs[2] == docs[4]
+        few = monic_odd_family(F5, 3, target_a=2, require_smooth=True)
+        # 336 witnesses under a limit above the match count: every match is
+        # re-validated, in several chunks per pool worker
+        many = monic_odd_family(
+            F5, 3, target_a=1, target_p_rank=1, require_smooth=True,
+            collect_limit=1000,
+        )
+        for spec in (few, many):
+            docs = {
+                t: json.dumps(run_search(spec, threads=t).to_dict())
+                for t in (1, 2, 4)
+            }
+            assert docs[1] == docs[2] == docs[4]
+        doc = json.loads(docs[1])
+        assert len(doc["witnesses"]) == doc["matched"] == 336
 
     def test_consecutive_runs_identical(self, F5):
         spec = monic_odd_family(F5, 2, target_a=1, require_smooth=True)
