@@ -52,6 +52,21 @@ def _field_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _run_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="worker processes (default 1); reports do not depend on it",
+    )
+    parser.add_argument(
+        "--budget",
+        type=int,
+        default=DEFAULT_BUDGET,
+        help="cap on exhaustive candidates or random samples (default 2^32)",
+    )
+
+
 def _output_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="write the report to a file")
     fmt = parser.add_mutually_exclusive_group()
@@ -117,13 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="disable the rank-one structural prefilter",
     )
-    p_search.add_argument("--threads", type=int, default=1)
-    p_search.add_argument(
-        "--budget",
-        type=int,
-        default=DEFAULT_BUDGET,
-        help="cap on exhaustive candidates or random samples (default 2^32)",
-    )
+    _run_args(p_search)
     _output_args(p_search)
 
     p_verify = sub.add_parser("verify", help="run a named verification suite")
@@ -131,18 +140,18 @@ def _build_parser() -> argparse.ArgumentParser:
         "suite", choices=["theorem1", "prop-p5", "p-rank-witnesses"]
     )
     p_verify.add_argument("--p", type=int, default=None)
-    p_verify.add_argument("--k", type=int, default=1)
-    p_verify.add_argument("--genus", type=int, default=None)
-    p_verify.add_argument("--threads", type=int, default=1)
-    p_verify.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p_verify.add_argument(
+        "--k", type=int, default=None, help="extension degree (theorem1; default 1)"
+    )
+    p_verify.add_argument("--genus", type=int, default=None, help="genus (theorem1)")
+    _run_args(p_verify)
     p_verify.add_argument("--out", default=None)
 
     p_rep = sub.add_parser("reproduce", help="re-run a published search script")
     p_rep.add_argument("--script", type=int, choices=[1, 2], required=True)
     p_rep.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_rep.add_argument("--samples", type=int, default=1_000_000)
-    p_rep.add_argument("--threads", type=int, default=1)
-    p_rep.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    _run_args(p_rep)
     _output_args(p_rep)
 
     return parser
@@ -253,9 +262,12 @@ def _cmd_verify(args) -> int:
     if args.suite == "theorem1":
         if args.p is None or args.genus is None:
             raise ValueError("verify theorem1 needs --p and --genus")
+        k = args.k if args.k is not None else 1
         result = verify_theorem1(
-            args.p, args.k, args.genus, threads=args.threads, budget=args.budget
+            args.p, k, args.genus, threads=args.threads, budget=args.budget
         )
+    elif args.k is not None or args.genus is not None:
+        raise ValueError(f"verify {args.suite} takes no --k or --genus")
     elif args.suite == "prop-p5":
         p = args.p if args.p is not None else 5
         result = verify_genus_p_minus_1(p, threads=args.threads, budget=args.budget)

@@ -30,7 +30,7 @@ from typing import Mapping
 from . import _kernel
 from .fields import FieldElement, FieldSpec, _rand_below, make_field
 from .invariants import Invariants, invariants, report_fragment
-from .poly import Poly
+from .poly import Poly, parse_poly
 
 __all__ = [
     "SCHEMA",
@@ -330,20 +330,30 @@ def _merge(spec: SearchSpec, results: list[dict]) -> tuple[SearchCounts, list[li
     return counts, wits
 
 
+def _filter_failure(
+    inv: Invariants,
+    require_smooth: bool,
+    target_a: int | None,
+    target_p_rank: int | None,
+) -> str | None:
+    """Why ``inv`` fails the search filters, or None when it passes them."""
+    if require_smooth and not inv.smooth:
+        return "not smooth"
+    if target_a is not None and inv.a_number != target_a:
+        return f"a={inv.a_number}, wanted {target_a}"
+    if target_p_rank is not None and inv.p_rank != target_p_rank:
+        return f"p-rank={inv.p_rank}, wanted {target_p_rank}"
+    return None
+
+
 def _decode_witness(spec: SearchSpec, encodings: list[int]) -> Witness:
     f = Poly.from_ints(spec.field, encodings)
     inv = invariants(f)
-    if spec.require_smooth and not inv.smooth:
-        raise RevalidationError(f"witness re-validation failed (not smooth): {f}")
-    if spec.target_a is not None and inv.a_number != spec.target_a:
-        raise RevalidationError(
-            f"witness re-validation failed (a={inv.a_number}, wanted {spec.target_a}): {f}"
-        )
-    if spec.target_p_rank is not None and inv.p_rank != spec.target_p_rank:
-        raise RevalidationError(
-            f"witness re-validation failed (p-rank={inv.p_rank}, "
-            f"wanted {spec.target_p_rank}): {f}"
-        )
+    failure = _filter_failure(
+        inv, spec.require_smooth, spec.target_a, spec.target_p_rank
+    )
+    if failure:
+        raise RevalidationError(f"witness re-validation failed ({failure}): {f}")
     return Witness(f=f, invariants=inv)
 
 
@@ -693,21 +703,30 @@ def verify_p_rank_witnesses(
 
 
 def revalidate_report_dict(doc: dict) -> list[str]:
-    """Re-validate a serialized report's witnesses against the object layer.
-
-    Returns a list of human-readable mismatch descriptions (empty = clean).
+    """Re-validate a serialized report against the object layer: every
+    witness's invariants and the spec's filters, and the witness count
+    min(matched, collect_limit).  Returns human-readable mismatch
+    descriptions (empty = clean).
     """
-    from .poly import parse_poly
-
     spec = doc.get("spec", {})
     field = make_field(spec["p"], spec["k"], spec.get("modulus"))
+    witnesses = doc.get("witnesses", [])
     problems = []
-    for i, frag in enumerate(doc.get("witnesses", [])):
+    expected = min(doc["matched"], spec["collect_limit"])
+    if len(witnesses) != expected:
+        problems.append(f"report holds {len(witnesses)} witnesses, expected {expected}")
+    for i, frag in enumerate(witnesses):
         f = parse_poly(field, ",".join(frag["coeffs"]))
-        fresh = report_fragment(f)
+        inv = invariants(f)
+        fresh = report_fragment(f, inv)
         for key in ("genus", "smooth", "rank_A", "a_number", "p_rank"):
             if fresh[key] != frag[key]:
                 problems.append(
                     f"witness {i}: {key} recomputes to {fresh[key]}, stored {frag[key]}"
                 )
+        failure = _filter_failure(
+            inv, spec["require_smooth"], spec["target_a"], spec["target_p_rank"]
+        )
+        if failure:
+            problems.append(f"witness {i}: fails the spec's filters ({failure})")
     return problems

@@ -277,6 +277,29 @@ class TestArgumentErrors:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["verify", "p-rank-witnesses", "--p", "3", "--genus", "5"],
+            ["verify", "p-rank-witnesses", "--p", "3", "--k", "2"],
+            ["verify", "p-rank-witnesses", "--p", "3", "--k", "1"],
+            ["verify", "prop-p5", "--k", "3", "--genus", "9"],
+            ["verify", "prop-p5", "--genus", "4"],
+        ],
+    )
+    def test_verify_flag_the_suite_ignores_exits_2(self, capsys, monkeypatch, argv):
+        import cartier.search as search
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("search started despite an unused flag")
+
+        monkeypatch.setattr(search, "run_search", no_search)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: invalid-input:")
+        assert "takes no --k or --genus" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["search", "--p", "3", "--genus", "2", "--fix", "c0=0,c5=1",
              "--exhaustive"],
             ["verify", "theorem1", "--p", "3", "--genus", "3"],

@@ -6,7 +6,15 @@ import random
 
 import pytest
 
-from cartier import Poly, cartier_matrix, half_power, is_squarefree, make_curve, make_field
+from cartier import (
+    Poly,
+    cartier_matrix,
+    enumerate_field,
+    half_power,
+    is_squarefree,
+    make_curve,
+    make_field,
+)
 from cartier._kernel import (
     end_rows,
     get_kernel,
@@ -24,6 +32,25 @@ def _encodings(poly, length):
     """The first ``length`` coefficient encodings of ``poly``, zero-padded."""
     encs = [c.encoding for c in poly.coeffs[:length]]
     return encs + [0] * (length - len(encs))
+
+
+@pytest.mark.parametrize("p,k", FIELDS + [(3, 3), (3, 4), (5, 2)])
+def test_kernel_tables_match_object_layer(p, k):
+    F = make_field(p, k)
+    kern = get_kernel(p, k, F.modulus)
+    els = list(enumerate_field(F))
+    assert kern.neg == [(-x).encoding for x in els]
+    assert kern.inv[1:] == [x.inv().encoding for x in els[1:]]
+    assert kern.frob_table == [x.frobenius(1).encoding for x in els]
+    for x in els:
+        assert kern.add[x.encoding] == [(x + y).encoding for y in els]
+        assert kern.mul[x.encoding] == [(x * y).encoding for y in els]
+
+
+def test_reducible_modulus_rejected():
+    # x^2 + 1 = (x - 2)(x + 2) over F_5, so F_5[x]/(x^2 + 1) is not a field
+    with pytest.raises(ValueError, match="not a field"):
+        get_kernel(5, 2, (1, 0, 1))
 
 
 @pytest.mark.parametrize("p,k", FIELDS)
@@ -86,6 +113,7 @@ def test_kernel_products_match_object_layer(p, k):
         assert kern.poly_pow_trunc(a, e, n) == _encodings(
             pa**e, min(n, e * (len(a) - 1) + 1)
         )
+        assert kern.poly_pow(a, e) == _encodings(pa**e, e * (len(a) - 1) + 1)
 
 
 def test_scan_counts_match_object_brute_force():

@@ -270,6 +270,25 @@ class TestWitnessRevalidation:
         problems = revalidate_report_dict(doc)
         assert problems and "a_number" in problems[0]
 
+    def test_witness_outside_the_filters_detected(self, F5):
+        # an honest fragment whose invariants recompute exactly, but a = 0
+        other = run_search(monic_odd_family(F5, 2, target_a=0, require_smooth=True))
+        doc = run_search(
+            monic_odd_family(F5, 2, target_a=1, require_smooth=True)
+        ).to_dict()
+        doc["witnesses"][0] = other.to_dict()["witnesses"][0]
+        problems = revalidate_report_dict(doc)
+        assert problems == ["witness 0: fails the spec's filters (a=0, wanted 1)"]
+
+    def test_truncated_witness_list_detected(self, F5):
+        doc = run_search(
+            monic_odd_family(F5, 2, target_a=1, require_smooth=True)
+        ).to_dict()
+        assert doc["matched"] == 84 and len(doc["witnesses"]) == 10
+        doc["witnesses"] = doc["witnesses"][:3]
+        problems = revalidate_report_dict(doc)
+        assert len(problems) == 1 and "holds 3 witnesses, expected 10" in problems[0]
+
 
 class TestVerifySuites:
     def test_theorem1_p3_g3(self):
