@@ -39,20 +39,19 @@ from .search import (
     DEFAULT_SEED,
     SCHEMA,
     BudgetExceededError,
-    ConsistencyReport,
-    FormCheckResult,
-    PRankWitnessReport,
     RevalidationError,
     SearchCounts,
     SearchReport,
     SearchSpec,
     Witness,
-    find_p_rank_witnesses,
+    revalidate_report_dict,
+    run_search,
+)
+from .suites import (
+    ConsistencyReport,
     forward_form_check,
     monic_odd_family,
     reproduce_script,
-    revalidate_report_dict,
-    run_search,
     verify_genus_p_minus_1,
     verify_p_rank_witnesses,
     verify_theorem1,

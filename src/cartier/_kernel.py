@@ -16,6 +16,8 @@ enters a report.
 
 from __future__ import annotations
 
+import itertools
+
 from .fields import FieldElement, FieldSpec
 
 # ---------------------------------------------------------------------------
@@ -302,43 +304,28 @@ def scan(task: dict) -> dict:
     p_rank = kern.p_rank
 
     if task["mode"] == "exhaustive":
+        # the shard fixes the top free coefficient; product varies its last
+        # slot fastest, so the lowest free index moves fastest
         if free:
             u[free[-1]] = task["top"]
-            vary = free[:-1]
-        else:
-            vary = []
-        total = q ** len(vary)
-        vals = [0] * len(vary)
-        sample_iter = None
+        slots = free[-2::-1]
+        total = q ** len(slots)
+        candidates = itertools.product(range(q), repeat=len(slots))
     else:
-        vary = list(free)
-        draws = task["draws"]
+        # sample-major draws, ascending free index within a sample
+        slots = free
         total = task["count"]
-        nf = len(vary)
-        sample_iter = True
+        candidates = zip(*[iter(task["draws"])] * len(slots))
+    filtered = target_rank is not None or target_p_rank is not None
 
     n_sq = 0
     n_rank = 0
     n_pr = 0
     wits: list[list[int]] = []
 
-    for n in range(total):
-        if sample_iter is None:
-            if n:
-                i = 0
-                while True:
-                    v = vals[i] + 1
-                    if v < q:
-                        vals[i] = v
-                        u[vary[i]] = v
-                        break
-                    vals[i] = 0
-                    u[vary[i]] = 0
-                    i += 1
-        else:
-            base = n * nf
-            for t in range(nf):
-                u[vary[t]] = draws[base + t]
+    for vals in candidates:
+        for i, v in zip(slots, vals):
+            u[i] = v
 
         f = poly_mul(factor, u) if factor else u
 
@@ -348,23 +335,16 @@ def scan(task: dict) -> dict:
         if require_smooth and not sq:
             continue
 
-        if target_rank is None and target_p_rank is None:
-            n_rank += 1
-            n_pr += 1
-            if len(wits) < limit:
-                wits.append(list(f))
-            continue
-
-        if use_prefilter:
-            r1, rg = end_rows(kern, f, g)
-            if not rows_could_be_rank_le_1(kern, r1, rg):
-                continue
-
-        kappa = poly_pow(f, e) if e > 1 else list(f)
-        rows = matrix_rows(kappa, g, p)
-        if target_rank is not None:
-            if rank([row[:] for row in rows]) != target_rank:
-                continue
+        if filtered:
+            if use_prefilter:
+                r1, rg = end_rows(kern, f, g)
+                if not rows_could_be_rank_le_1(kern, r1, rg):
+                    continue
+            kappa = poly_pow(f, e) if e > 1 else list(f)
+            rows = matrix_rows(kappa, g, p)
+            if target_rank is not None:
+                if rank([row[:] for row in rows]) != target_rank:
+                    continue
         n_rank += 1
         if target_p_rank is not None:
             if p_rank(rows, g) != target_p_rank:

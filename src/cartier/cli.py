@@ -32,8 +32,10 @@ from .search import (
     RevalidationError,
     SearchReport,
     SearchSpec,
-    reproduce_script,
     run_search,
+)
+from .suites import (
+    reproduce_script,
     verify_genus_p_minus_1,
     verify_p_rank_witnesses,
     verify_theorem1,

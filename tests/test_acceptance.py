@@ -17,17 +17,17 @@ import pytest
 from cartier import (
     Poly,
     cartier_matrix,
-    find_p_rank_witnesses,
     half_power,
     invariants,
     make_curve,
     make_field,
+    monic_odd_family,
     reproduce_script,
     run_search,
     verify_genus_p_minus_1,
+    verify_p_rank_witnesses,
     verify_theorem1,
 )
-from cartier.search import monic_odd_family
 
 pytestmark = pytest.mark.acceptance
 
@@ -99,8 +99,8 @@ def existence_runs():
 def p_rank_split_runs():
     return {
         p: {
-            "t4": find_p_rank_witnesses(p, threads=4),
-            "t1": find_p_rank_witnesses(p, threads=1),
+            "t4": verify_p_rank_witnesses(p, threads=4),
+            "t1": verify_p_rank_witnesses(p, threads=1),
         }
         for p in (5, 7)
     }
@@ -178,22 +178,18 @@ def test_criterion_5_existence_witnesses(existence_runs, p_rank_split_runs):
         assert rep.matched >= 1, f"no genus-2 a=1 witness at p={p}"
         w = rep.witnesses[0].invariants
         assert w.a_number == 1 and w.smooth
+    split = {p: p_rank_split_runs[p]["t4"].observed for p in (5, 7)}
     for p in (5, 7):
-        split = p_rank_split_runs[p]["t4"]
-        assert split.count_p_rank_0 >= 1, f"no p-rank 0 witness at p={p}"
-        assert split.count_p_rank_1 >= 1, f"no p-rank 1 witness at p={p}"
-    assert (
-        p_rank_split_runs[7]["t4"].count_p_rank_1
-        > p_rank_split_runs[7]["t4"].count_p_rank_0
-    )
+        assert split[p]["count_p_rank_0"] >= 1, f"no p-rank 0 witness at p={p}"
+        assert split[p]["count_p_rank_1"] >= 1, f"no p-rank 1 witness at p={p}"
+    assert split[7]["count_p_rank_1"] > split[7]["count_p_rank_0"]
     _ok(
         "C5 PASS - genus-2 a=1 witnesses at p=3,5,7 "
         f"({[existence_runs[p]['t4'].matched for p in (3, 5, 7)]}); "
         "genus-3 a=2 at both p-ranks for p=5 "
-        f"({p_rank_split_runs[5]['t4'].count_p_rank_0}/"
-        f"{p_rank_split_runs[5]['t4'].count_p_rank_1}) and p=7 "
-        f"({p_rank_split_runs[7]['t4'].count_p_rank_0}/"
-        f"{p_rank_split_runs[7]['t4'].count_p_rank_1}, rank-1 class larger)"
+        f"({split[5]['count_p_rank_0']}/{split[5]['count_p_rank_1']}) and p=7 "
+        f"({split[7]['count_p_rank_0']}/{split[7]['count_p_rank_1']}, "
+        "rank-1 class larger)"
     )
 
 

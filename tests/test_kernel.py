@@ -118,8 +118,8 @@ def test_kernel_products_match_object_layer(p, k):
 
 def test_scan_counts_match_object_brute_force():
     # full pipeline vs a straight object-layer loop over the same family
-    from cartier.search import monic_odd_family, _make_tasks, DEFAULT_BUDGET
-    from cartier import invariants
+    from cartier import invariants, monic_odd_family
+    from cartier.search import _make_tasks, DEFAULT_BUDGET
 
     for (p, k, genus) in [(3, 1, 2), (3, 2, 2)]:
         F = make_field(p, k)

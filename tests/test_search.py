@@ -8,10 +8,11 @@ from cartier import (
     BudgetExceededError,
     Poly,
     SearchSpec,
-    find_p_rank_witnesses,
+    enumerate_field,
     forward_form_check,
     invariants,
     make_field,
+    monic_odd_family,
     parse_poly,
     random_element,
     reproduce_script,
@@ -21,7 +22,6 @@ from cartier import (
     verify_p_rank_witnesses,
     verify_theorem1,
 )
-from cartier.search import monic_odd_family
 
 
 class TestRunSearchSmallFamilies:
@@ -154,13 +154,16 @@ class TestDeterminism:
 
 
 class TestRandomMode:
-    def test_sample_order_matches_element_stream(self, F49):
+    def test_sample_order_matches_element_stream(self, F49, monkeypatch):
         # sample s takes draws s*m .. s*m+m-1, ascending free index; this must
-        # equal repeated random_element calls on one generator
+        # equal repeated random_element calls on one generator, across shards
+        import cartier.search as search
+
+        monkeypatch.setattr(search, "_RANDOM_SHARD_SAMPLES", 3)
         rng = random.Random(11)
         factor = parse_poly(F49, "0,6,1")  # x(x-1)
         expected = []
-        for _ in range(4):
+        for _ in range(10):
             hs = [random_element(F49, rng) for _ in range(7)]
             expected.append(factor * Poly(F49, hs + [F49.one]))
         spec = SearchSpec(
@@ -169,13 +172,14 @@ class TestRandomMode:
             fixed={7: F49.one},
             free=tuple(range(7)),
             mode="random",
-            samples=4,
+            samples=10,
             seed=11,
             require_smooth=False,
             collect_limit=10,
             factor=factor,
         )
         rep = run_search(spec)
+        assert rep.shard_count == 4
         assert [w.f for w in rep.witnesses] == expected
 
     def test_zero_samples_empty_report(self):
@@ -189,6 +193,38 @@ class TestRandomMode:
         rep = reproduce_script(2, samples=500, seed=3)
         assert rep.counts.enumerated == 500
         assert rep.counts.squarefree <= 500
+
+
+class TestCandidateOrder:
+    """With no filter and a collect limit that holds every candidate, the
+    witness list is the whole exhaustive enumeration, in the order the
+    determinism contract fixes, built here in the object layer (the random
+    order is TestRandomMode's)."""
+
+    @pytest.mark.parametrize(
+        "p, k, fixed, free",
+        [
+            (5, 1, {0: 0, 1: 1, 2: 2, 3: 3, 4: 4, 5: 1}, ()),
+            (5, 1, {0: 0, 1: 1, 2: 2, 3: 3, 5: 1}, (4,)),
+            (5, 1, {1: 1, 3: 3, 5: 1}, (0, 2, 4)),
+            (3, 2, {0: 0, 1: 1, 2: 2, 4: 4, 5: 1}, (3,)),
+        ],
+    )
+    def test_exhaustive_order_is_odometer(self, p, k, fixed, free):
+        F = make_field(p, k)
+        fixed = {i: F.element(v) for i, v in fixed.items()}
+        expected = []
+        # top free coefficient outermost, lowest free index fastest
+        for vals in itertools.product(list(enumerate_field(F)), repeat=len(free)):
+            coeffs = dict(fixed)
+            coeffs.update(zip(reversed(free), vals))
+            expected.append(Poly(F, [coeffs[i] for i in range(6)]))
+        spec = SearchSpec(
+            field=F, degree=5, fixed=fixed, free=free, collect_limit=len(expected)
+        )
+        rep = run_search(spec)
+        assert rep.counts.enumerated == len(expected)
+        assert [w.f for w in rep.witnesses] == expected
 
 
 class TestValidationAndBudget:
@@ -305,14 +341,14 @@ class TestVerifySuites:
             verify_theorem1(5, 1, 3)
 
     def test_p_rank_witnesses_p5(self):
-        split = find_p_rank_witnesses(5)
-        assert split.count_p_rank_0 == 16
-        assert split.count_p_rank_1 == 20
-        for w in split.rank0.witnesses:
-            assert w.invariants.p_rank == 0 and w.invariants.a_number == 2
-        for w in split.rank1.witnesses:
-            assert w.invariants.p_rank == 1
-            assert w.invariants.a_number <= w.invariants.genus - w.invariants.p_rank
+        obs = verify_p_rank_witnesses(5).observed
+        assert obs["count_p_rank_0"] == 16
+        assert obs["count_p_rank_1"] == 20
+        for p_rank in (0, 1):
+            listed = obs[f"witnesses_p_rank_{p_rank}"]
+            assert listed
+            for w in listed:
+                assert w["smooth"] and w["a_number"] == 2 and w["p_rank"] == p_rank
 
     def test_p_rank_witnesses_verdict(self):
         # no a = g-1 curve exists at genus >= p, so p = 3 fails
@@ -320,6 +356,41 @@ class TestVerifySuites:
         rep = verify_p_rank_witnesses(7)
         assert rep.passed and "ordering" in rep.expected
         assert rep.observed["count_p_rank_1"] > rep.observed["count_p_rank_0"]
+
+
+class TestSuitesModule:
+    def test_every_suite_search_goes_through_the_engine(self, monkeypatch):
+        # tracers and test doubles replace search.run_search and nothing else
+        import cartier.search as search
+        from cartier import suites
+
+        real = search.run_search
+        calls = []
+
+        def recorder(spec, **kwargs):
+            calls.append(spec)
+            return real(spec, **kwargs)
+
+        monkeypatch.setattr(search, "run_search", recorder)
+        runs = {
+            "reproduce_script": (lambda: suites.reproduce_script(2, samples=10), 1),
+            "verify_theorem1": (lambda: suites.verify_theorem1(3, 1, 3), 1),
+            "verify_p_rank_witnesses": (lambda: suites.verify_p_rank_witnesses(3), 2),
+        }
+        for name, (run, searches) in runs.items():
+            calls.clear()
+            run()
+            assert len(calls) == searches, name
+
+    def test_public_names_exist_and_are_exported(self):
+        import cartier
+        from cartier import search, suites
+
+        for mod in (search, suites):
+            for name in mod.__all__:
+                assert hasattr(mod, name), f"{mod.__name__}.{name}"
+        for name in suites.__all__:
+            assert getattr(cartier, name) is getattr(suites, name), name
 
 
 class TestForwardFormCheck:
@@ -358,7 +429,7 @@ class TestGenusPMinus1:
     def test_smoke_family_shape(self):
         # the full 390,625-candidate verification runs in the acceptance
         # suite; here only the reconstruction rule on known instances
-        from cartier.search import _genus_p_minus_1_form
+        from cartier.suites import _genus_p_minus_1_form
 
         F5 = make_field(5)
         f = _genus_p_minus_1_form(F5, F5.zero, F5.zero)
