@@ -8,6 +8,18 @@ operation tables, built once per field and process from the object layer
 logs of a generator of F_q^*), so fields are capped at
 ``TableKernel.MAX_ORDER`` elements.
 
+A shard runs one of two paths.  The per-candidate path tests every
+candidate: squarefree gcd, the rank-one prefilter on rows 1 and g, then the
+full half power, rank and p-rank.  An exhaustive search for rank one (a =
+g-1) with the prefilter on may instead take the rank-one path: the
+family is affine, f = f0 + sum c_i b_i, so ``rank_one_survivors`` joins the
+assignments of the coefficients row 1 reads with those row g reads on the
+projective class of the row, and the per-candidate loop checks only the
+joined survivors.  Its squarefree count then covers the survivors only; the
+search takes the family's count from ``squarefree_count``, a Moebius sieve
+over F_q[x] that runs once per search and enumerates no candidate.  The
+per-candidate path stays the oracle for both.
+
 The object layer in fields/poly/invariants is the reference implementation.
 Everything here is cross-checked against it by the test suite, and every
 witness a search emits is re-validated through the object layer before it
@@ -228,27 +240,35 @@ def matrix_rows(kappa, g, p):
     ]
 
 
+def _row1(kern, low, g):
+    """Row 1 of the matrix from a list of f's low coefficients, f[:p] or a
+    prefix of it past which nothing changes f^((p-1)/2) below x^p.  Trims
+    trailing zeros off low in place."""
+    p = kern.char
+    while low and low[-1] == 0:
+        low.pop()
+    kappa = kern.poly_pow_trunc(low, (p - 1) // 2, p) if low else []
+    n = len(kappa)
+    return [kappa[p - j] if 0 <= p - j < n else 0 for j in range(1, g + 1)]
+
+
+def _rowg(kern, high, g):
+    """Row g of the matrix from f's top (p+1)/2 coefficients, highest first."""
+    e = (kern.char - 1) // 2
+    kappa = kern.poly_pow_trunc(high, e, e + 1)
+    n = len(kappa)
+    shift = g - e
+    return [
+        kappa[j - shift] if 0 <= j - shift < n else 0 for j in range(1, g + 1)
+    ]
+
+
 def end_rows(kern, f, g):
     """Rows 1 and g of the matrix from truncated powers of f and of its
     reversal; used by the rank-1 prefilter without a full expansion."""
     p = kern.char
-    e = (p - 1) // 2
-    low_in = f[:p]
-    while low_in and low_in[-1] == 0:
-        low_in.pop()
-    low = kern.poly_pow_trunc(low_in, e, p) if low_in else []
     half = (p + 1) // 2
-    rev = f[::-1]
-    high_in = rev[:half]
-    high = kern.poly_pow_trunc(high_in, e, half)
-    nl, nh = len(low), len(high)
-    row1 = [low[p - j] if 0 <= p - j < nl else 0 for j in range(1, g + 1)]
-    rowg = []
-    shift = g - e
-    for j in range(1, g + 1):
-        t = j - shift
-        rowg.append(high[t] if 0 <= t < nh else 0)
-    return row1, rowg
+    return _row1(kern, f[:p], g), _rowg(kern, f[: -half - 1 : -1], g)
 
 
 def rows_could_be_rank_le_1(kern, r1, rg):
@@ -269,11 +289,250 @@ def rows_could_be_rank_le_1(kern, r1, rg):
     return True
 
 
+def _class_key(kern, row):
+    """The projective class of a row (scaled so its first nonzero entry is
+    1), or None for the zero row."""
+    for x in row:
+        if x:
+            scale = kern.mul[kern.inv[x]]
+            return tuple(scale[y] for y in row)
+    return None
+
+
+def _combine(kern, base, terms, lo, hi):
+    """Entries lo..hi-1 of base + sum c * b over the (c, b) in terms."""
+    add = kern.add
+    out = base[lo:hi]
+    for c, b in terms:
+        if c:
+            m = kern.mul[c]
+            out = [add[x][m[y]] for x, y in zip(out, b[lo:hi])]
+    return out
+
+
+def rank_one_survivors(kern, task, slots):
+    """The shard's assignments of ``slots`` whose matrix rows 1 and g are
+    proportional (a zero row is proportional to every row), in the order
+    ``itertools.product`` gives them.  Rank <= 1 forces the two rows to be
+    proportional, so every other assignment has rank >= 2.
+
+    f = f0 + sum c_i b_i.  If f[:v] = 0 across the family, row 1 reads only
+    f[v : p - (e-1)v] (every term of f^e below x^p has e-1 factors of index
+    at least v), and row g reads f[deg-e:].  A slot is read by a row when
+    its b_i meets that window.  Slots only row 1 reads are bucketed by the
+    class of row 1, slots only row g reads by the class of row g, slots both
+    read are an outer loop, and slots neither reads are enumerated for each
+    joined pair only.
+    """
+    q = kern.q
+    e = (kern.char - 1) // 2
+    degree = task["degree"]
+    g = (degree - 1) // 2
+    basis = dict(zip(task["free"], task["basis"]))
+    top = [(task["top"], task["basis"][-1])]  # the shard's value of the top slot
+    f0 = _combine(kern, task["f0"], top, 0, degree + 1)
+    v = min(j for b in [task["f0"], *task["basis"]] for j, x in enumerate(b) if x)
+    row1_end = max(v, min(kern.char - (e - 1) * v, degree + 1))
+    rowg_start = max(0, degree - e)
+
+    groups = {"outer": [], "row1": [], "rowg": [], "inner": []}
+    for pos, idx in enumerate(slots):
+        b = basis[idx]
+        r1 = any(b[v:row1_end])
+        rg = any(b[rowg_start:])
+        key = "outer" if r1 and rg else "row1" if r1 else "rowg" if rg else "inner"
+        groups[key].append(pos)
+
+    # a survivor is kept as its base-q number, first slot most significant,
+    # which sorts like the tuple and takes a fraction of the memory
+    weight = [q ** (len(slots) - 1 - pos) for pos in range(len(slots))]
+
+    def assignments(key):
+        """(assignment, its part of the number) for every assignment of the
+        group's slots."""
+        for vals in itertools.product(range(q), repeat=len(groups[key])):
+            yield vals, sum(c * weight[pos] for pos, c in zip(groups[key], vals))
+
+    def terms(key, vals):
+        return [(c, basis[slots[pos]]) for pos, c in zip(groups[key], vals)]
+
+    numbers = []
+    inner = [n for _, n in assignments("inner")]
+    for outer, n_outer in assignments("outer"):
+        base = _combine(kern, f0, terms("outer", outer), 0, degree + 1)
+        by_row1: dict = {}
+        for a, n_a in assignments("row1"):
+            low = _combine(kern, base, terms("row1", a), 0, row1_end)
+            key = _class_key(kern, _row1(kern, low, g))
+            by_row1.setdefault(key, []).append(n_outer + n_a)
+        by_rowg: dict = {}
+        for b, n_b in assignments("rowg"):
+            high = _combine(kern, base, terms("rowg", b), rowg_start, degree + 1)
+            key = _class_key(kern, _rowg(kern, high[::-1], g))
+            by_rowg.setdefault(key, []).append(n_b)
+        every_b = [n for ns in by_rowg.values() for n in ns]
+        wild_b = by_rowg.get(None, [])
+        for key, a_list in by_row1.items():
+            b_list = every_b if key is None else by_rowg.get(key, []) + wild_b
+            for n_a in a_list:
+                for n_b in b_list:
+                    n_ab = n_a + n_b
+                    numbers.extend(n_ab + n_d for n_d in inner)
+    numbers.sort()
+    for n in numbers:
+        vals = [0] * len(slots)
+        for pos in range(len(slots) - 1, -1, -1):
+            n, vals[pos] = divmod(n, q)
+        yield tuple(vals)
+
+
+# ---------------------------------------------------------------------------
+# exact squarefree count of an affine family
+
+
+def _monic_index(h, q):
+    """Position of a monic polynomial among those of its degree (base q,
+    constant term lowest)."""
+    idx = 0
+    for c in reversed(h[:-1]):
+        idx = idx * q + c
+    return idx
+
+
+def _monic_irreducibles(kern, d, small):
+    """The monic irreducibles of degree d as coefficient lists, constant
+    term first; small must hold every monic irreducible of degree <= d // 2,
+    in ascending degree."""
+    q = kern.q
+    reducible = bytearray(q**d)
+    for a in small:
+        da = len(a) - 1
+        if 2 * da > d:
+            break
+        for low in itertools.product(range(q), repeat=d - da):
+            reducible[_monic_index(kern.poly_mul(a, [*low, 1]), q)] = 1
+    for idx, hit in enumerate(reducible):
+        if not hit:
+            h = []
+            for _ in range(d):
+                idx, c = divmod(idx, q)
+                h.append(c)
+            yield h + [1]
+
+
+def _square_divides_rows(kern, h, f0, basis):
+    """The linear system in c for h^2 | f0 + sum c_i b_i: one row
+    [b_1 .. b_n | -f0] per coefficient of the remainder mod h^2."""
+    add = kern.add
+    mul = kern.mul
+    neg = kern.neg
+    hh = kern.poly_mul(h, h)
+    m = len(hh) - 1
+    residues = []  # x^j mod h^2
+    r = [1] + [0] * (m - 1)
+    for _ in f0:
+        residues.append(r)
+        top = r[-1]
+        r = [0] + r[:-1]
+        if top:
+            t = mul[neg[top]]
+            r = [add[x][t[y]] for x, y in zip(r, hh)]
+    cols = []
+    for b in [*basis, f0]:
+        col = [0] * m
+        for x, res in zip(b, residues):
+            if x:
+                mx = mul[x]
+                col = [add[c][mx[y]] for c, y in zip(col, res)]
+        cols.append(col)
+    rhs = cols.pop()
+    return [[col[k] for col in cols] + [neg[rhs[k]]] for k in range(m)]
+
+
+def _extend(kern, echelon, rows):
+    """echelon (pairs of pivot column and row, pivot 1, zeros at earlier
+    pivots) with rows added, or None if the system became inconsistent."""
+    add = kern.add
+    mul = kern.mul
+    neg = kern.neg
+    echelon = list(echelon)
+    for row in rows:
+        row = list(row)
+        for pc, prow in echelon:
+            c = row[pc]
+            if c:
+                m = mul[neg[c]]
+                for k in range(pc, len(row)):
+                    if prow[k]:
+                        row[k] = add[row[k]][m[prow[k]]]
+        pc = next((k for k, x in enumerate(row[:-1]) if x), None)
+        if pc is None:
+            if row[-1]:
+                return None
+            continue
+        scale = mul[kern.inv[row[pc]]]
+        echelon.append((pc, [scale[x] for x in row]))
+    return echelon
+
+
+def squarefree_count(kern, f0, basis):
+    """#{c in F_q^n : f0 + sum c_i b_i is squarefree}, exactly, without
+    enumerating c.  f0 must have exact degree len(f0) - 1.
+
+    Moebius over F_q[x] (Rosen, Number Theory in Function Fields, ch. 2):
+    the count is the sum over monic h with h^2 | f possible (2 deg h <=
+    deg f) of mu(h) * #{c : h^2 | f(c)}, and each term is a linear system
+    over F_q with q^(n - rank) solutions or none.  Only squarefree h count
+    (mu = 0 otherwise), so a depth-first walk builds each product of
+    distinct irreducibles once, from its largest factor down, adds one
+    irreducible's rows per step, gets mu from the depth, and drops an
+    inconsistent h together with every multiple of it.  It visits at most
+    as many h as there are monic polynomials of degree <= deg f / 2.
+    """
+    q = kern.q
+    n = len(basis)
+    top = (len(f0) - 1) // 2
+    small = []  # (degree, rows) of the irreducibles h with 2 deg h <= top
+    total = q**n
+
+    def walk(limit, budget, echelon, sign):
+        # products of echelon's h with distinct small[j], j < limit
+        acc = 0
+        for j in range(limit):
+            d, rows = small[j]
+            if d > budget:
+                break
+            ext = _extend(kern, echelon, rows)
+            if ext is not None:
+                acc += sign * q ** (n - len(ext)) + walk(j, budget - d, ext, -sign)
+        return acc
+
+    irreducibles = []  # the polynomials of small, which sieve higher degrees
+    for d in range(1, top + 1):
+        extends = 2 * d <= top
+        found = []
+        for h in _monic_irreducibles(kern, d, irreducibles):
+            rows = _square_divides_rows(kern, h, f0, basis)
+            if extends:
+                found.append(h)
+                small.append((d, rows))
+            ech = _extend(kern, [], rows)
+            if ech is not None:
+                limit = len(small) - 1 if extends else len(small)
+                total += walk(limit, top - d, ech, 1) - q ** (n - len(ech))
+        irreducibles += found
+    return total
+
+
 def scan(task: dict) -> dict:
     """Run one shard of a search; pure function of the task description.
 
     Returns enumerated/squarefree/rank/p-rank counts and up to
     ``collect_limit`` matching coefficient vectors (encodings, ascending).
+    A ``rank_one`` shard checks only the ``rank_one_survivors`` of the
+    shard: its enumerated count is still the whole shard's, but its
+    squarefree count covers the survivors only (the search takes the
+    family's from ``squarefree_count``).
     """
     kern = get_kernel(task["p"], task["k"], tuple(task["modulus"]))
     q = kern.q
@@ -310,7 +569,11 @@ def scan(task: dict) -> dict:
             u[free[-1]] = task["top"]
         slots = free[-2::-1]
         total = q ** len(slots)
-        candidates = itertools.product(range(q), repeat=len(slots))
+        if task["rank_one"]:
+            candidates = rank_one_survivors(kern, task, slots)
+            use_prefilter = False
+        else:
+            candidates = itertools.product(range(q), repeat=len(slots))
     else:
         # sample-major draws, ascending free index within a sample
         slots = free

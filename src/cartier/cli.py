@@ -65,7 +65,9 @@ def _run_args(parser: argparse.ArgumentParser) -> None:
         "--budget",
         type=int,
         default=DEFAULT_BUDGET,
-        help="cap on exhaustive candidates or random samples (default 2^32)",
+        help="cap on exhaustive candidates (the whole family, as 'enumerated' "
+        "counts it, also where only rank-one survivors are checked) or random "
+        "samples (default 2^32)",
     )
 
 
@@ -132,7 +134,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_search.add_argument(
         "--no-prefilter",
         action="store_true",
-        help="disable the rank-one structural prefilter",
+        help="check every candidate: no rank-one prefilter, and no end-row "
+        "join for --target-a g-1 (same counts and witnesses; slower)",
     )
     _run_args(p_search)
     _output_args(p_search)

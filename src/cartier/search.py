@@ -14,6 +14,11 @@ and shards on contiguous sample blocks, so the candidate sequence never
 depends on worker scheduling.  Shard results merge in shard order: counts add,
 witness lists concatenate and truncate.  ``elapsed_ms`` is the one
 non-reproducible field and is never serialized.
+
+Exhaustive rank-one searches over large enough families check, inside each
+shard, only the survivors of a join on the matrix's end rows, and take the
+squarefree count from a sieve run once per search (see ``_kernel``); their
+reports are the ones the per-candidate path gives.
 """
 
 from __future__ import annotations
@@ -245,7 +250,42 @@ def _spec_to_dict(spec: SearchSpec) -> dict:
     }
 
 
+def _affine_form(spec: SearchSpec) -> tuple[list[int], list[list[int]]]:
+    """f0 and the b_i = factor * x^i (i in spec.free) of the family
+    f = f0 + sum c_i b_i, as encodings of length degree + 1."""
+    field = spec.field
+    factor = spec.factor if spec.factor is not None else Poly.one(field)
+    cofactor = [
+        spec.fixed.get(i, field.zero) for i in range(spec.cofactor_degree + 1)
+    ]
+
+    def encodings(poly: Poly) -> list[int]:
+        encs = [c.encoding for c in poly.coeffs]
+        return encs + [0] * (spec.degree + 1 - len(encs))
+
+    f0 = encodings(factor * Poly(field, cofactor))
+    return f0, [encodings(factor * Poly.monomial(field, i)) for i in spec.free]
+
+
+def _takes_rank_one_path(spec: SearchSpec) -> bool:
+    """Exhaustive rank-one searches check only the survivors of the end-row
+    join, when the family outnumbers the monic h the squarefree sieve may
+    visit."""
+    q = spec.field.order
+    return (
+        spec.mode == "exhaustive"
+        and spec.target_a is not None
+        and spec.genus - spec.target_a == 1
+        and spec.prefilter
+        and q ** len(spec.free) > sum(q**d for d in range(spec.degree // 2 + 1))
+    )
+
+
 def _base_task(spec: SearchSpec) -> dict:
+    # only the rank-one path reads the affine form; the per-candidate path
+    # builds each f from the factor and the cofactor
+    rank_one = _takes_rank_one_path(spec)
+    f0, basis = _affine_form(spec) if rank_one else (None, None)
     return {
         "p": spec.field.p,
         "k": spec.field.k,
@@ -262,6 +302,9 @@ def _base_task(spec: SearchSpec) -> dict:
         "target_p_rank": spec.target_p_rank,
         "prefilter": spec.prefilter,
         "collect_limit": spec.collect_limit,
+        "rank_one": rank_one,
+        "f0": f0,
+        "basis": basis,
     }
 
 
@@ -296,7 +339,19 @@ def _make_tasks(spec: SearchSpec, budget: int) -> list[dict]:
     return tasks
 
 
-def _merge(spec: SearchSpec, results: list[dict]) -> tuple[SearchCounts, list[list[int]]]:
+def _squarefree_total(spec: SearchSpec, tasks: list[dict]) -> int | None:
+    """The family's squarefree count from the sieve on the rank-one path,
+    whose shards count survivors only; None elsewhere."""
+    if not tasks or not tasks[0]["rank_one"]:
+        return None
+    field = spec.field
+    kern = _kernel.get_kernel(field.p, field.k, tuple(field.modulus))
+    return _kernel.squarefree_count(kern, tasks[0]["f0"], tasks[0]["basis"])
+
+
+def _merge(
+    spec: SearchSpec, results: list[dict], sieve: int | None
+) -> tuple[SearchCounts, list[list[int]]]:
     enumerated = squarefree = rank_matched = p_rank_matched = 0
     wits: list[list[int]] = []
     for res in results:
@@ -308,7 +363,7 @@ def _merge(spec: SearchSpec, results: list[dict]) -> tuple[SearchCounts, list[li
             wits.extend(res["witnesses"][: spec.collect_limit - len(wits)])
     counts = SearchCounts(
         enumerated=enumerated,
-        squarefree=squarefree,
+        squarefree=squarefree if sieve is None else sieve,
         rank_matched=rank_matched,
         a_matched=rank_matched,
         p_rank_matched=p_rank_matched,
@@ -360,13 +415,14 @@ def run_search(
     tasks = _make_tasks(spec, budget)
     if threads <= 1 or len(tasks) <= 1:
         results = [_kernel.scan(t) for t in tasks]
-        counts, wit_encs = _merge(spec, results)
+        counts, wit_encs = _merge(spec, results, _squarefree_total(spec, tasks))
         witnesses = tuple(_decode_witness(spec, enc) for enc in wit_encs)
     else:
         workers = min(threads, len(tasks))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_kernel.scan, tasks))
-            counts, wit_encs = _merge(spec, results)
+            pending = pool.map(_kernel.scan, tasks)
+            sieve = _squarefree_total(spec, tasks)  # while the shards run
+            counts, wit_encs = _merge(spec, list(pending), sieve)
             # about four chunks per worker: few round trips, balanced tails
             chunk = max(1, len(wit_encs) // (4 * workers))
             decode = functools.partial(_decode_witness, spec)

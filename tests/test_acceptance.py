@@ -3,8 +3,8 @@
 Heavy searches run once per thread count through module-scoped fixtures and
 are shared between the result criteria and the determinism criterion.  Each
 test prints one PASS line (run with ``pytest -s`` to see them as they land).
-The whole module takes several minutes; the optional 7^10 exhaustive run only
-executes when CARTIER_RUN_LONG=1.
+The whole module takes under a minute, mostly the 10^6-sample script-2 runs;
+the optional 7^10 exhaustive run only executes when CARTIER_RUN_LONG=1.
 """
 
 import itertools
@@ -294,7 +294,7 @@ def test_criterion_7_determinism(
 @pytest.mark.slow
 @pytest.mark.skipif(
     os.environ.get("CARTIER_RUN_LONG") != "1",
-    reason="optional long run; set CARTIER_RUN_LONG=1 (roughly an hour on 4 cores)",
+    reason="optional long run; set CARTIER_RUN_LONG=1 (about half a minute)",
 )
 def test_criterion_8_optional_genus5_exhaustive():
     rep = run_search(

@@ -77,6 +77,20 @@ class TestSearchCommand:
         assert doc["witnesses"][0]["a_number"] == 1
         assert "matched 6 of 81" in err
 
+    def test_no_prefilter_report_identical(self, capsys):
+        # --target-a g-1 takes the rank-one path; --no-prefilter checks every
+        # candidate.  The report echoes the flag and must not differ otherwise.
+        argv = [
+            "search", "--p", "7", "--genus", "3", "--fix", "c0=0,c1=1,c2=0,c7=1",
+            "--exhaustive", "--require-smooth", "--target-a", "2", "--limit", "4",
+        ]
+        _, joined, _ = run_cli(capsys, *argv)
+        _, plain, _ = run_cli(capsys, *argv, "--no-prefilter")
+        assert json.loads(joined)["matched"] > 4
+        flag = '"prefilter": '
+        assert joined.count(flag + "true") == plain.count(flag + "false") == 1
+        assert joined == plain.replace(flag + "false", flag + "true")
+
     def test_zero_matches_still_exit_0(self, capsys):
         code, out, _ = run_cli(
             capsys,

@@ -1,6 +1,7 @@
 """Differential tests: the integer-encoded search kernel against the object
 layer, which is the reference implementation."""
 
+import dataclasses
 import itertools
 import random
 
@@ -8,22 +9,29 @@ import pytest
 
 from cartier import (
     Poly,
+    SearchSpec,
     cartier_matrix,
     enumerate_field,
     half_power,
+    invariants,
     is_squarefree,
     make_curve,
     make_field,
+    monic_odd_family,
+    parse_poly,
+    run_search,
 )
 from cartier._kernel import (
     end_rows,
     get_kernel,
     matrix_rows,
+    rank_one_survivors,
     rows_could_be_rank_le_1,
-    scan,
+    squarefree_count,
 )
 from cartier.invariants import p_rank as obj_p_rank
 from cartier.invariants import rank as obj_rank
+from cartier.search import DEFAULT_BUDGET, _affine_form, _make_tasks
 
 FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (7, 2)]
 
@@ -117,10 +125,8 @@ def test_kernel_products_match_object_layer(p, k):
 
 
 def test_scan_counts_match_object_brute_force():
-    # full pipeline vs a straight object-layer loop over the same family
-    from cartier import invariants, monic_odd_family
-    from cartier.search import _make_tasks, DEFAULT_BUDGET
-
+    # the whole engine (per-candidate and rank-one paths, the sieve's
+    # squarefree count) against a straight object-layer loop
     for (p, k, genus) in [(3, 1, 2), (3, 2, 2)]:
         F = make_field(p, k)
         by_a = {}
@@ -134,8 +140,124 @@ def test_scan_counts_match_object_brute_force():
                 by_a[inv.a_number] = by_a.get(inv.a_number, 0) + 1
         for target in range(genus + 1):
             spec = monic_odd_family(F, genus, target_a=target, require_smooth=True)
-            tasks = _make_tasks(spec, DEFAULT_BUDGET)
-            res = [scan(t) for t in tasks]
-            total = sum(r["p_rank_matched"] for r in res)
-            assert total == by_a.get(target, 0), (p, k, target)
-            assert sum(r["squarefree"] for r in res) == n_sq
+            counts = run_search(spec).counts
+            assert counts.enumerated == F.order ** (degree - 1)
+            assert counts.squarefree == n_sq, (p, k, target)
+            assert counts.p_rank_matched == by_a.get(target, 0), (p, k, target)
+        assert _sieve(spec) == n_sq
+
+
+@pytest.mark.parametrize(
+    "p, k, degree, fixed, free, factor, survivors",
+    [
+        # script1-f7 and theorem1-f9
+        (7, 1, 9, {0: 0, 1: 1, 2: 1, 3: 1, 9: 1}, (4, 5, 6, 7, 8), None, 42),
+        (3, 2, 7, {0: 0, 1: 1, 7: 1}, (2, 3, 4, 5, 6), None, 729),
+        # c1 free below a fixed c2: row 1 reads f from x^1 on
+        (7, 1, 7, {0: 0, 2: 3, 3: 1, 7: 1}, (1, 4, 5, 6), None, None),
+        # rows 1 and g share c2 and c3
+        (7, 1, 5, {0: 0, 5: 1}, (1, 2, 3, 4), None, None),
+        (7, 1, 7, {0: 1, 5: 1}, (1, 2, 3, 4), "0,6,1", None),
+        (5, 1, 7, {0: 0, 7: 1}, (1, 2, 3, 4, 5, 6), None, None),
+    ],
+)
+def test_join_survivors_are_the_proportional_end_rows(
+    p, k, degree, fixed, free, factor, survivors
+):
+    # every shard's survivors, in order, against a filter of the whole
+    # shard by the per-candidate end-row test
+    spec = dataclasses.replace(
+        _family(p, k, degree, fixed, free, factor), target_a=(degree - 3) // 2
+    )
+    kern = get_kernel(p, k, spec.field.modulus)
+    g = spec.genus
+    total = 0
+    for task in _make_tasks(spec, DEFAULT_BUDGET):
+        slots = task["free"][-2::-1]
+        u = [0] * (spec.cofactor_degree + 1)
+        for idx, enc in task["fixed"]:
+            u[idx] = enc
+        u[task["free"][-1]] = task["top"]
+        expected = []
+        for vals in itertools.product(range(kern.q), repeat=len(slots)):
+            for i, v in zip(slots, vals):
+                u[i] = v
+            f = kern.poly_mul(task["factor"], u) if task["factor"] else u
+            if rows_could_be_rank_le_1(kern, *end_rows(kern, f, g)):
+                expected.append(vals)
+        assert list(rank_one_survivors(kern, task, slots)) == expected
+        total += len(expected)
+    assert total > 0
+    if survivors is not None:
+        assert total == survivors
+
+
+# -- the squarefree sieve ----------------------------------------------------
+
+
+def _sieve(spec):
+    F = spec.field
+    return squarefree_count(get_kernel(F.p, F.k, F.modulus), *_affine_form(spec))
+
+
+def _per_candidate_squarefree(spec):
+    plain = dataclasses.replace(spec, target_a=None, target_p_rank=None)
+    return run_search(plain).counts.squarefree
+
+
+def _family(p, k, degree, fixed, free, factor=None):
+    F = make_field(p, k)
+    return SearchSpec(
+        field=F,
+        degree=degree,
+        fixed={i: F.element(v) for i, v in fixed.items()},
+        free=free,
+        factor=parse_poly(F, factor) if factor else None,
+    )
+
+
+@pytest.mark.parametrize(
+    "p, k, degree, fixed, free, factor, expected",
+    [
+        # the exhaustive benchmark families: script1-f7, theorem1-f9 and
+        # witness-heavy
+        (7, 1, 9, {0: 0, 1: 1, 2: 1, 3: 1, 9: 1}, (4, 5, 6, 7, 8), None, 14710),
+        (3, 2, 7, {0: 0, 1: 1, 7: 1}, (2, 3, 4, 5, 6), None, 53143),
+        (7, 1, 7, {0: 0, 1: 1, 2: 1, 7: 1}, (3, 4, 5, 6), None, 2101),
+        # x(x-1)h over F_7
+        (7, 1, 7, {5: 1}, (0, 1, 2, 3, 4), "0,6,1", None),
+        (7, 1, 9, {0: 3, 1: 0, 2: 5, 7: 1}, (3, 4, 5, 6), "0,6,1", None),
+        # F_9 with a fixed factor, and F_25
+        (3, 2, 7, {0: 1, 4: 2, 5: 1}, (1, 2, 3), "0,1,1", None),
+        (5, 2, 5, {0: 0, 1: 1, 5: 1}, (2, 3, 4), None, None),
+    ],
+)
+def test_sieve_matches_per_candidate_count(p, k, degree, fixed, free, factor, expected):
+    spec = _family(p, k, degree, fixed, free, factor)
+    count = _sieve(spec)
+    assert count == _per_candidate_squarefree(spec)
+    if expected is not None:
+        assert count == expected
+
+
+def _monic_squarefree_off_x(q, n):
+    """Monic squarefree h of degree n over F_q with h(0) != 0: there are
+    q^n - q^(n-1) squarefree monic h of degree n >= 2 (q of degree 1), and
+    those with x | h are x times one of degree n - 1 with h(0) != 0."""
+    count = 1
+    for d in range(1, n + 1):
+        count = (q if d == 1 else q**d - q ** (d - 1)) - count
+    return count
+
+
+@pytest.mark.parametrize(
+    "p, k, genus, expected",
+    [(3, 1, 2, 40), (5, 1, 3, None), (3, 2, 3, None), (7, 1, 4, 4323600)],
+)
+def test_sieve_matches_closed_form(p, k, genus, expected):
+    # f = x h with h monic of degree 2g: f is squarefree iff h is and h(0) != 0;
+    # 7^8 is the script-1 family
+    spec = monic_odd_family(make_field(p, k), genus)
+    count = _monic_squarefree_off_x(p**k, 2 * genus)
+    assert _sieve(spec) == count
+    assert expected in (None, count)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -22,6 +23,7 @@ from cartier import (
     verify_p_rank_witnesses,
     verify_theorem1,
 )
+from cartier.search import _takes_rank_one_path
 
 
 class TestRunSearchSmallFamilies:
@@ -103,6 +105,48 @@ class TestPrefilter:
         assert [w.fragment() for w in on.witnesses] == [
             w.fragment() for w in off.witnesses
         ]
+
+    @pytest.mark.parametrize(
+        "p, genus, fixed, free, factor, require_smooth, limit",
+        [
+            # c1 = c2 = 0 reachable: x^3 | f and row 1 is zero
+            (7, 3, {0: 0, 3: 1, 4: 2, 7: 1}, (1, 2, 5, 6), None, True, 10),
+            # c4 = c5 = c6 = 0 reachable: row g is zero
+            (7, 3, {0: 0, 2: 3, 3: 1, 7: 1}, (1, 4, 5, 6), None, True, 10),
+            # genus 2 over F_7: rows 1 and g both read c2 and c3
+            (7, 2, {0: 0, 5: 1}, (1, 2, 3, 4), None, True, 10),
+            # f = x(x-1)h with h0 and h5 fixed
+            (7, 3, {0: 1, 5: 1}, (1, 2, 3, 4), "0,6,1", True, 10),
+            # singular models count too
+            (5, 3, {0: 0, 7: 1}, (1, 2, 3, 4, 5, 6), None, False, 10),
+            # 252 matches truncated to the first 5
+            (7, 2, {0: 0, 5: 1}, (1, 2, 3, 4), None, True, 5),
+        ],
+    )
+    def test_rank_one_path_report_identical(
+        self, p, genus, fixed, free, factor, require_smooth, limit
+    ):
+        # the end-row join and the sieve against the per-candidate path: the
+        # whole report, at one and two threads; only the echoed flag differs
+        F = make_field(p)
+        spec = SearchSpec(
+            field=F,
+            degree=2 * genus + 1,
+            fixed={i: F.element(v) for i, v in fixed.items()},
+            free=free,
+            target_a=genus - 1,
+            require_smooth=require_smooth,
+            collect_limit=limit,
+            factor=parse_poly(F, factor) if factor else None,
+        )
+        off = dataclasses.replace(spec, prefilter=False)
+        assert _takes_rank_one_path(spec) and not _takes_rank_one_path(off)
+        expected = run_search(off).to_dict()
+        assert expected["matched"] > 0
+        expected["spec"]["prefilter"] = True
+        for threads in (1, 2):
+            doc = run_search(spec, threads=threads).to_dict()
+            assert json.dumps(doc) == json.dumps(expected)
 
 
 class TestDeterminism:
