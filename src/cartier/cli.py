@@ -154,8 +154,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("reproduce", help="re-run a published search script")
     p_rep.add_argument("--script", type=int, choices=[1, 2], required=True)
-    p_rep.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_rep.add_argument("--samples", type=int, default=1_000_000)
+    p_rep.add_argument(
+        "--seed", type=int, default=None,
+        help=f"random seed (script 2 only; default {DEFAULT_SEED})",
+    )
+    p_rep.add_argument(
+        "--samples", type=int, default=None,
+        help="random sample count (script 2 only; default 1000000)",
+    )
     _run_args(p_rep)
     _output_args(p_rep)
 
@@ -289,10 +295,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
+    draws = {"seed": args.seed, "samples": args.samples}
+    draws = {key: value for key, value in draws.items() if value is not None}
+    if draws and args.script == 1:
+        raise ValueError("--seed/--samples only apply to --script 2")
     report = reproduce_script(
         args.script,
-        seed=args.seed,
-        samples=args.samples,
+        **draws,
         threads=args.threads,
         budget=args.budget,
     )

@@ -5,10 +5,14 @@ extension degree ``k``, and a monic irreducible modulus of degree ``k`` over
 F_p).  Elements are immutable coordinate vectors over F_p, ascending powers of
 the generator, always kept in canonical reduced form.
 
-The representation is deliberately table-free and allocation-honest: fields in
-scope are tiny (p <= 13, k <= 3 in practice) and exactness beats speed.  The
-search engine keeps its own integer-encoded fast path and is cross-checked
-against this module by the test suite.
+The representation is deliberately table-free: fields in scope are tiny
+(p <= 13, k <= 3 in practice), every result is computed from the coordinates
+alone, and exactness comes before speed.  The public constructor
+``FieldElement(spec, coords)`` reduces its input; the arithmetic itself
+already produces coordinates in [0, p) and builds its results with the
+private ``_reduced``, which skips that second reduction.  The search engine
+keeps its own integer-encoded fast path and is cross-checked against this
+module by the test suite.
 
 Text formats:
   * element: prime field as a decimal integer ("5"); extension field as a
@@ -104,15 +108,15 @@ class FieldSpec:
         for _ in range(self.k):
             e, r = divmod(e, self.p)
             coords.append(r)
-        return FieldElement(self, tuple(coords))
+        return _reduced(self, tuple(coords))
 
     @property
     def zero(self) -> "FieldElement":
-        return FieldElement(self, (0,) * self.k)
+        return _reduced(self, (0,) * self.k)
 
     @property
     def one(self) -> "FieldElement":
-        return FieldElement(self, (1,) + (0,) * (self.k - 1))
+        return _reduced(self, (1,) + (0,) * (self.k - 1))
 
     @property
     def gen(self) -> "FieldElement":
@@ -147,27 +151,27 @@ class FieldElement:
     def __add__(self, other: "FieldElement") -> "FieldElement":
         self._same_field(other)
         p = self.spec.p
-        return FieldElement(
-            self.spec, tuple((a + b) % p for a, b in zip(self.coords, other.coords))
+        return _reduced(
+            self.spec, tuple([(a + b) % p for a, b in zip(self.coords, other.coords)])
         )
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
         self._same_field(other)
         p = self.spec.p
-        return FieldElement(
-            self.spec, tuple((a - b) % p for a, b in zip(self.coords, other.coords))
+        return _reduced(
+            self.spec, tuple([(a - b) % p for a, b in zip(self.coords, other.coords)])
         )
 
     def __neg__(self) -> "FieldElement":
         p = self.spec.p
-        return FieldElement(self.spec, tuple(-a % p for a in self.coords))
+        return _reduced(self.spec, tuple([-a % p for a in self.coords]))
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         self._same_field(other)
         spec = self.spec
         if spec.k == 1:
-            return FieldElement(spec, ((self.coords[0] * other.coords[0]) % spec.p,))
-        return FieldElement(
+            return _reduced(spec, (self.coords[0] * other.coords[0] % spec.p,))
+        return _reduced(
             spec, _mul_coords(self.coords, other.coords, spec.p, spec.modulus)
         )
 
@@ -192,7 +196,7 @@ class FieldElement:
             raise ZeroDivisionError("inverse of zero field element")
         spec = self.spec
         if spec.k == 1:
-            return FieldElement(spec, (pow(self.coords[0], -1, spec.p),))
+            return _reduced(spec, (pow(self.coords[0], -1, spec.p),))
         return self ** (spec.order - 2)
 
     def frobenius(self, i: int = 1) -> "FieldElement":
@@ -240,23 +244,51 @@ class FieldElement:
         return f"FieldElement({self} in {self.spec})"
 
 
+def _reduced(spec: FieldSpec, coords: tuple[int, ...]) -> FieldElement:
+    """Element from a length-k tuple whose coordinates already lie in [0, p)."""
+    e = object.__new__(FieldElement)
+    e.spec = spec
+    e.coords = coords
+    return e
+
+
 def _mul_coords(
     a: tuple[int, ...], b: tuple[int, ...], p: int, modulus: tuple[int, ...]
 ) -> tuple[int, ...]:
-    # schoolbook product followed by reduction modulo the monic modulus
+    # schoolbook product followed by one reduction
     k = len(a)
     prod = [0] * (2 * k - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
                 prod[i + j] += ai * bj
-    for i in range(2 * k - 2, k - 1, -1):
-        c = prod[i] % p
-        if c:
-            base = i - k
-            for j in range(k):
-                prod[base + j] -= c * modulus[j]
-    return tuple(v % p for v in prod[:k])
+    return _reduce_coords(prod, p, modulus)[0]
+
+
+def _reduce_coords(
+    acc: list[int], p: int, modulus: tuple[int, ...]
+) -> list[tuple[int, ...]]:
+    """Canonical coordinates of unreduced products.
+
+    ``acc`` is a run of blocks of 2k-1 integers of any size or sign, each
+    block one product's coordinates in ascending powers of the generator.
+    Each block is reduced once, modulo the monic modulus and p.  Mutates
+    ``acc``.
+    """
+    k = len(modulus) - 1
+    if k == 1:  # a block is one integer and the modulus plays no role
+        return [(v % p,) for v in acc]
+    w = 2 * k - 1
+    out = []
+    for start in range(0, len(acc), w):
+        for i in range(start + w - 1, start + k - 1, -1):
+            c = acc[i] % p
+            if c:
+                base = i - k
+                for j in range(k):
+                    acc[base + j] -= c * modulus[j]
+        out.append(tuple([v % p for v in acc[start : start + k]]))
+    return out
 
 
 def make_field(

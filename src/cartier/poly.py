@@ -4,6 +4,9 @@ Coefficients are stored ascending with no trailing zeros; the zero polynomial
 has an empty coefficient tuple and degree ``NEG_INFINITY``.  All operations
 are pure and exact.  Multiplication is schoolbook on purpose: every
 polynomial in scope has degree at most a few hundred, where schoolbook wins.
+It is one loop over integer coordinates: each output coefficient accumulates
+its unreduced coordinate products and is reduced once, by the step an
+element product uses (``fields._reduce_coords``).
 
 Text format: comma-separated ascending coefficients in the field element text
 format, e.g. over F_7 "0,1,0,0,0,0,0,0,0,1" is x + x^9 and over F_9
@@ -14,7 +17,14 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .fields import FieldElement, FieldSpec, _split_csv, parse_element
+from .fields import (
+    FieldElement,
+    FieldSpec,
+    _reduce_coords,
+    _reduced,
+    _split_csv,
+    parse_element,
+)
 
 __all__ = [
     "NEG_INFINITY",
@@ -110,17 +120,28 @@ class Poly:
         if isinstance(other, FieldElement):
             return Poly(self.spec, (c * other for c in self.coeffs))
         self._same_field(other)
+        spec = self.spec
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return Poly.zero(self.spec)
-        zero = self.spec.zero
-        out = [zero] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai.is_zero:
-                continue
-            for j, bj in enumerate(b):
-                out[i + j] = out[i + j] + ai * bj
-        return Poly(self.spec, out)
+            return Poly.zero(spec)
+        # Read each polynomial as one integer sequence, coordinate s of the
+        # coefficient of x^i at i*w + s.  With w = 2k-1 the coordinate
+        # convolutions of different output coefficients cannot overlap, so
+        # one integer schoolbook loop gives every unreduced convolution and
+        # each output coefficient is reduced once.
+        w = 2 * spec.k - 1
+        xs = [
+            (i * w + s, c) for i, e in enumerate(a) for s, c in enumerate(e.coords) if c
+        ]
+        ys = [
+            (j * w + t, c) for j, e in enumerate(b) for t, c in enumerate(e.coords) if c
+        ]
+        acc = [0] * ((len(a) + len(b) - 1) * w)
+        for m, x in xs:
+            for n, y in ys:
+                acc[m + n] += x * y
+        coords = _reduce_coords(acc, spec.p, spec.modulus)
+        return Poly(spec, [_reduced(spec, c) for c in coords])
 
     def __rmul__(self, other: FieldElement) -> "Poly":
         return self * other

@@ -388,7 +388,19 @@ def _filter_failure(
 
 
 def _decode_witness(spec: SearchSpec, encodings: list[int]) -> Witness:
-    f = Poly.from_ints(spec.field, encodings)
+    # taken as given: no encoding is wrapped and no leading zero is dropped
+    field = spec.field
+    if not all(0 <= e < field.order for e in encodings):
+        raise RevalidationError(
+            f"witness re-validation failed (encoding outside [0, {field.order})): "
+            f"{list(encodings)}"
+        )
+    f = Poly(field, [field.from_encoding(e) for e in encodings])
+    if f.degree != spec.degree:
+        raise RevalidationError(
+            f"witness re-validation failed (degree {f.degree}, wanted "
+            f"{spec.degree}): {list(encodings)}"
+        )
     inv = invariants(f)
     failure = _filter_failure(
         inv, spec.require_smooth, spec.target_a, spec.target_p_rank

@@ -245,6 +245,26 @@ class TestReproduceCommand:
         d1, d2 = json.loads(out1), json.loads(out2)
         assert d1["report"]["seed"] == 1 and d2["report"]["seed"] == 2
 
+    def test_script2_defaults_match_explicit_flags(self, capsys, monkeypatch):
+        # the defaults are the published run: seed 1 and 10^6 samples; the
+        # patched search runs 30 of them and records the spec it was given
+        import cartier.search as search
+
+        real = search.run_search
+        specs = []
+
+        def short_run(spec, **kwargs):
+            specs.append(spec)
+            return real(dataclasses.replace(spec, samples=30), **kwargs)
+
+        monkeypatch.setattr(search, "run_search", short_run)
+        _, implicit, _ = run_cli(capsys, "reproduce", "--script", "2")
+        _, explicit, _ = run_cli(
+            capsys, "reproduce", "--script", "2", "--seed", "1", "--samples", "1000000"
+        )
+        assert [(s.seed, s.samples) for s in specs] == [(1, 1_000_000)] * 2
+        assert implicit == explicit
+
 
 class TestArgumentErrors:
     def test_no_command(self, capsys):
@@ -312,6 +332,23 @@ class TestArgumentErrors:
         assert "takes no --k or --genus" in err
 
     @pytest.mark.parametrize(
+        "flags", [["--seed", "5"], ["--samples", "3"], ["--seed", "5", "--samples", "3"]]
+    )
+    def test_reproduce_script1_draw_flags_exit_2(self, capsys, monkeypatch, flags):
+        # script 1 is exhaustive and draws nothing, so the flags would be ignored
+        import cartier.search as search
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("search started despite an unused flag")
+
+        monkeypatch.setattr(search, "run_search", no_search)
+        code, out, err = run_cli(capsys, "reproduce", "--script", "1", *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: invalid-input:")
+        assert "only apply to --script 2" in err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["search", "--p", "3", "--genus", "2", "--fix", "c0=0,c5=1",
@@ -368,6 +405,34 @@ class TestFailureExitCodes:
         assert out == ""
         assert err.startswith("error: internal:")
         assert "a=2, wanted 1" in err
+
+    @pytest.mark.parametrize(
+        "tamper, reason",
+        [
+            (lambda w: [w[0] + 3, *w[1:]], "encoding outside [0, 3)"),
+            (lambda w: [*w[:-1], 0], "wanted 5"),
+            (lambda w: [*w[:-2], 0, 0], "wanted 5"),
+        ],
+        ids=["wrapped-encoding", "zero-leading", "degree-drop-2"],
+    )
+    def test_malformed_kernel_witness_exits_6(self, capsys, monkeypatch, tamper, reason):
+        # re-validation takes the kernel's encodings as given: it neither
+        # reduces them mod q nor lets Poly drop a zero leading coefficient
+        import cartier._kernel as _kernel
+
+        real = _kernel.scan
+
+        def tampered(task):
+            result = real(task)
+            result["witnesses"] = [tamper(w) for w in result["witnesses"]]
+            return result
+
+        monkeypatch.setattr(_kernel, "scan", tampered)
+        code, out, err = run_cli(capsys, *self.WITNESS_SEARCH)
+        assert code == 6
+        assert out == ""
+        assert err.startswith("error: internal: witness re-validation failed")
+        assert reason in err
 
     def test_dead_worker_exits_5(self, capsys, monkeypatch):
         import cartier._kernel as _kernel

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cartier import (
+    FieldElement,
     FieldSpec,
     enumerate_field,
     make_field,
@@ -224,6 +225,75 @@ class TestProperties:
     def test_encoding_roundtrip(self, fe):
         spec, a = fe
         assert spec.from_encoding(a.encoding) == a
+
+
+# Exhaustive checks against a reference written here.  An extension element
+# is a polynomial in the generator a of degree < k; the reference multiplies
+# two of them by convolving coordinates mod p and folding each a^d, d >= k,
+# back through its precomputed reduction, a shift-and-subtract by the modulus.
+EXHAUSTIVE_FIELDS = [(3, 1), (7, 1), (3, 2), (5, 2), (3, 3), (7, 2)]
+
+
+def _powers_of_gen(spec):
+    """Coordinates of a^d for d = 0 .. 2k-2."""
+    p, k = spec.p, spec.k
+    powers = [tuple(int(i == d) for i in range(k)) for d in range(k)]
+    while len(powers) < 2 * k - 1:
+        top = powers[-1][-1]
+        shifted = (0,) + powers[-1][:-1]
+        powers.append(
+            tuple((c - top * m) % p for c, m in zip(shifted, spec.modulus))
+        )
+    return powers
+
+
+def _ref_mul(spec, powers, x, y):
+    p, k = spec.p, spec.k
+    if k == 1:
+        return ((x[0] * y[0]) % p,)
+    out = [0] * k
+    for i in range(k):
+        for j in range(k):
+            c = x[i] * y[j]
+            out = [(o + c * r) % p for o, r in zip(out, powers[i + j])]
+    return tuple(out)
+
+
+class TestExhaustiveArithmetic:
+    @staticmethod
+    def _check(spec, result, expected):
+        assert type(result.coords) is tuple and len(result.coords) == spec.k
+        assert all(type(c) is int and 0 <= c < spec.p for c in result.coords)
+        assert result.coords == expected
+        public = FieldElement(spec, expected)
+        assert result == public and hash(result) == hash(public)
+
+    @pytest.mark.parametrize("p, k", EXHAUSTIVE_FIELDS)
+    def test_every_pair_and_element(self, p, k):
+        spec = make_field(p, k)
+        powers = _powers_of_gen(spec)
+        elements = list(enumerate_field(spec))
+        one = spec.one.coords
+        for x in elements:
+            xs = x.coords
+            self._check(spec, -x, tuple(-c % p for c in xs))
+            for y in elements:
+                ys = y.coords
+                self._check(spec, x + y, tuple((a + b) % p for a, b in zip(xs, ys)))
+                self._check(spec, x - y, tuple((a - b) % p for a, b in zip(xs, ys)))
+                self._check(spec, x * y, _ref_mul(spec, powers, xs, ys))
+            image = xs
+            for i in range(k + 1):
+                self._check(spec, x.frobenius(i), image)
+                power = one
+                for _ in range(p):
+                    power = _ref_mul(spec, powers, power, image)
+                image = power
+            if not x.is_zero:
+                (inverse,) = [
+                    y for y in elements if _ref_mul(spec, powers, xs, y.coords) == one
+                ]
+                self._check(spec, x.inv(), inverse.coords)
 
 
 class TestTextFormats:

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +41,69 @@ class TestMul:
     def test_mixed_fields_rejected(self, F5, F7):
         with pytest.raises(ValueError):
             parse_poly(F5, "1,1") * parse_poly(F7, "1,1")
+
+
+def _schoolbook(f, g):
+    """Element-wise schoolbook product: the oracle for Poly.__mul__."""
+    spec = f.spec
+    if f.is_zero or g.is_zero:
+        return Poly.zero(spec)
+    out = [spec.zero] * (len(f.coeffs) + len(g.coeffs) - 1)
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            out[i + j] = out[i + j] + a * b
+    return Poly(spec, out)
+
+
+def _oracle_pow(f, n):
+    result = Poly.one(f.spec)
+    for _ in range(n):
+        result = _schoolbook(result, f)
+    return result
+
+
+class TestProductOracle:
+    FIELDS = [(5, 1), (7, 1), (3, 2), (3, 3), (7, 2)]
+
+    @staticmethod
+    def _polys(spec, seed):
+        rng = random.Random(seed)
+        polys = [Poly.zero(spec), Poly.one(spec), Poly.from_ints(spec, [spec.order - 1])]
+        for degree in range(12):
+            polys.append(
+                Poly.from_ints(spec, [rng.randrange(spec.order) for _ in range(degree + 1)])
+            )
+        # sparse ones: most coefficients zero
+        for degree in (3, 7, 11):
+            encs = [rng.randrange(spec.order) if rng.random() < 0.3 else 0
+                    for _ in range(degree)]
+            polys.append(Poly.from_ints(spec, encs + [1 + rng.randrange(spec.order - 1)]))
+        return polys
+
+    @pytest.mark.parametrize("p, k", FIELDS)
+    def test_products_and_powers_match_schoolbook(self, p, k):
+        spec = make_field(p, k)
+        polys = self._polys(spec, 100 * p + k)
+        for f in polys:
+            for g in polys:
+                assert f * g == _schoolbook(f, g)
+            for n in range(5):
+                assert f**n == _oracle_pow(f, n)
+            if not f.is_zero:
+                assert half_power(f) == _oracle_pow(f, (p - 1) // 2)
+            for c in (spec.zero, spec.one, spec.from_encoding(spec.order - 1)):
+                assert f * c == _schoolbook(f, Poly(spec, [c]))
+
+    def test_different_fields_rejected(self):
+        f9 = make_field(3, 2, [1, 0, 1])
+        other = make_field(3, 2, [2, 2, 1])  # same p and k, another modulus
+        f = parse_poly(f9, "1,[0,1]")
+        with pytest.raises(ValueError):
+            f * parse_poly(other, "1,[0,1]")
+        with pytest.raises(ValueError):
+            f * parse_poly(make_field(5, 2), "1,[0,1]")
+        with pytest.raises(ValueError):
+            f * other.gen
 
 
 class TestHalfPower:
