@@ -150,21 +150,30 @@ class FieldElement:
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
         self._same_field(other)
-        p = self.spec.p
+        spec = self.spec
+        p = spec.p
+        if spec.k == 1:
+            return _reduced(spec, ((self.coords[0] + other.coords[0]) % p,))
         return _reduced(
-            self.spec, tuple([(a + b) % p for a, b in zip(self.coords, other.coords)])
+            spec, tuple([(a + b) % p for a, b in zip(self.coords, other.coords)])
         )
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
         self._same_field(other)
-        p = self.spec.p
+        spec = self.spec
+        p = spec.p
+        if spec.k == 1:
+            return _reduced(spec, ((self.coords[0] - other.coords[0]) % p,))
         return _reduced(
-            self.spec, tuple([(a - b) % p for a, b in zip(self.coords, other.coords)])
+            spec, tuple([(a - b) % p for a, b in zip(self.coords, other.coords)])
         )
 
     def __neg__(self) -> "FieldElement":
-        p = self.spec.p
-        return _reduced(self.spec, tuple([-a % p for a in self.coords]))
+        spec = self.spec
+        p = spec.p
+        if spec.k == 1:
+            return _reduced(spec, (-self.coords[0] % p,))
+        return _reduced(spec, tuple([-a % p for a in self.coords]))
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         self._same_field(other)

@@ -10,10 +10,12 @@ Determinism contract: identical specs (including seed) produce identical
 reports for any thread count.  Exhaustive spaces shard on the value of the
 highest-order free coefficient; random mode draws every sample's coefficients
 from a single MT19937 stream up front (sample-major, ascending free index)
-and shards on contiguous sample blocks, so the candidate sequence never
-depends on worker scheduling.  Shard results merge in shard order: counts add,
-witness lists concatenate and truncate.  ``elapsed_ms`` is the one
-non-reproducible field and is never serialized.
+and cuts it into fixed pieces of ``_RANDOM_PIECE_SAMPLES`` samples, so the
+candidate sequence never depends on worker scheduling.  Task results merge in
+task order: counts add, witness lists concatenate and truncate.  A random
+report's ``shard_count`` counts blocks of ``_RANDOM_SHARD_SAMPLES`` samples,
+not pieces.  ``elapsed_ms`` is the one non-reproducible field and is never
+serialized.
 
 Exhaustive rank-one searches over large enough families check, inside each
 shard, only the survivors of a join on the matrix's end rows, and take the
@@ -53,7 +55,11 @@ __all__ = [
 SCHEMA = "cartier-report/1"
 DEFAULT_SEED = 1
 DEFAULT_BUDGET = 2**32
+# a random report's shard_count is the number of blocks of this many samples
 _RANDOM_SHARD_SAMPLES = 100_000
+# the unit of work in random mode: a divisor of _RANDOM_SHARD_SAMPLES, small
+# enough that a few pieces per worker balance even a 2 x 10^4-sample search
+_RANDOM_PIECE_SAMPLES = 2_500
 
 
 class BudgetExceededError(ValueError):
@@ -188,6 +194,11 @@ class Witness:
 
 @dataclass(frozen=True)
 class SearchReport:
+    """One search's result.  ``shard_count`` is structural: the number of
+    top-coefficient shards of an exhaustive search, or of started
+    ``_RANDOM_SHARD_SAMPLES``-sample blocks of a random one, whatever the
+    thread count and however the work was dispatched."""
+
     spec: SearchSpec
     counts: SearchCounts
     witnesses: tuple[Witness, ...]
@@ -332,8 +343,8 @@ def _make_tasks(spec: SearchSpec, budget: int) -> list[dict]:
     for _ in range(spec.samples * nf):
         draws.append(_rand_below(rng, q))
     tasks = []
-    for start in range(0, spec.samples, _RANDOM_SHARD_SAMPLES):
-        count = min(_RANDOM_SHARD_SAMPLES, spec.samples - start)
+    for start in range(0, spec.samples, _RANDOM_PIECE_SAMPLES):
+        count = min(_RANDOM_PIECE_SAMPLES, spec.samples - start)
         block = draws[start * nf : (start + count) * nf]
         tasks.append(dict(base, draws=block, count=count))
     return tasks
@@ -440,12 +451,16 @@ def run_search(
             decode = functools.partial(_decode_witness, spec)
             witnesses = tuple(pool.map(decode, wit_encs, chunksize=chunk))
     elapsed_ms = int(round((time.perf_counter() - t0) * 1000))
+    if spec.mode == "random":
+        shard_count = -(-spec.samples // _RANDOM_SHARD_SAMPLES)
+    else:
+        shard_count = len(tasks)
     return SearchReport(
         spec=spec,
         counts=counts,
         witnesses=witnesses,
         seed=spec.seed,
-        shard_count=len(tasks),
+        shard_count=shard_count,
         elapsed_ms=elapsed_ms,
     )
 

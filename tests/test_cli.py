@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import multiprocessing
 import os
 
 import pytest
@@ -8,6 +9,10 @@ from cartier.cli import main
 
 
 def _dead_worker(task):
+    # dies only on a pool worker, so a search that never starts the pool
+    # fails its test instead of ending the test process
+    if multiprocessing.parent_process() is None:
+        raise AssertionError("scan ran outside the worker pool")
     os._exit(1)
 
 
@@ -442,6 +447,37 @@ class TestFailureExitCodes:
         assert code == 5
         assert out == ""
         assert err.startswith("error: resource: BrokenProcessPool")
+
+    def test_dead_worker_on_random_path_exits_5(self, capsys, monkeypatch):
+        # 6000 samples are three pieces, so a random search reaches the pool
+        import cartier._kernel as _kernel
+
+        monkeypatch.setattr(_kernel, "scan", _dead_worker)
+        code, out, err = run_cli(
+            capsys, "reproduce", "--script", "2", "--samples", "6000",
+            "--seed", "1", "--threads", "2",
+        )
+        assert code == 5
+        assert out == ""
+        assert err.startswith("error: resource: BrokenProcessPool")
+        assert multiprocessing.active_children() == []
+
+    def test_random_over_budget_at_two_threads_exits_4_before_drawing(
+        self, capsys, monkeypatch
+    ):
+        import cartier.search as search
+
+        def no_draws(*args):
+            raise AssertionError("sample drawn for a search over budget")
+
+        monkeypatch.setattr(search, "_rand_below", no_draws)
+        code, out, err = run_cli(
+            capsys, "reproduce", "--script", "2", "--samples", "6000",
+            "--seed", "1", "--budget", "5999", "--threads", "2",
+        )
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: budget:")
 
     def test_memory_error_exits_5(self, capsys, monkeypatch):
         import cartier.search as search

@@ -200,10 +200,12 @@ class TestDeterminism:
 class TestRandomMode:
     def test_sample_order_matches_element_stream(self, F49, monkeypatch):
         # sample s takes draws s*m .. s*m+m-1, ascending free index; this must
-        # equal repeated random_element calls on one generator, across shards
+        # equal repeated random_element calls on one generator, across pieces,
+        # and the report counts shards, not pieces
         import cartier.search as search
 
         monkeypatch.setattr(search, "_RANDOM_SHARD_SAMPLES", 3)
+        monkeypatch.setattr(search, "_RANDOM_PIECE_SAMPLES", 2)
         rng = random.Random(11)
         factor = parse_poly(F49, "0,6,1")  # x(x-1)
         expected = []
@@ -225,6 +227,52 @@ class TestRandomMode:
         rep = run_search(spec)
         assert rep.shard_count == 4
         assert [w.f for w in rep.witnesses] == expected
+
+    def test_piece_boundaries_do_not_change_report(self, F5, monkeypatch):
+        # witnesses come from several pieces, and at piece sizes 3 and 7 the
+        # collect limit of 9 cuts the list inside a piece
+        import cartier._kernel as _kernel
+        import cartier.search as search
+
+        spec = monic_odd_family(
+            F5, 2, mode="random", samples=40, seed=3, target_p_rank=2,
+            collect_limit=9,
+        )
+        docs = set()
+        for piece in (1, 3, 7, 40, 2500):
+            monkeypatch.setattr(search, "_RANDOM_PIECE_SAMPLES", piece)
+            tasks = search._make_tasks(spec, search.DEFAULT_BUDGET)
+            assert len(tasks) == -(-40 // piece)
+            if piece in (3, 7):
+                found = [len(_kernel.scan(t)["witnesses"]) for t in tasks]
+                before = itertools.accumulate([0, *found])
+                assert sum(1 for n in found if n) > 1
+                assert any(b < 9 < b + n for b, n in zip(before, found))
+            for threads in (1, 2):
+                rep = run_search(spec, threads=threads)
+                assert rep.shard_count == -(-40 // search._RANDOM_SHARD_SAMPLES)
+                docs.add(json.dumps(rep.to_dict()))
+        assert len(docs) == 1
+        doc = json.loads(docs.pop())
+        assert (doc["matched"], len(doc["witnesses"])) == (20, 9)
+
+    def test_script2_pieces_are_not_report_shards(self, monkeypatch):
+        # 2 x 10^4 samples: eight pieces for the pool, one shard in the report
+        import cartier.search as search
+
+        specs = []
+        real = search.run_search
+
+        def recorder(spec, **kwargs):
+            specs.append(spec)
+            return real(spec, **kwargs)
+
+        monkeypatch.setattr(search, "run_search", recorder)
+        rep = reproduce_script(2, samples=20_000, seed=1, threads=2)
+        assert len(search._make_tasks(specs[0], search.DEFAULT_BUDGET)) == 8
+        assert rep.shard_count == 1
+        counts = (rep.counts.enumerated, rep.counts.squarefree, rep.matched)
+        assert counts == (20_000, 18_843, 0)
 
     def test_zero_samples_empty_report(self):
         rep = reproduce_script(2, samples=0, seed=1)
