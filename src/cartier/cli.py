@@ -15,7 +15,6 @@ rejected a witness the kernel found).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from concurrent.futures.process import BrokenProcessPool
@@ -245,7 +244,6 @@ def _cmd_search(args) -> int:
         field=field,
         degree=degree,
         fixed=fixed,
-        free=(),
         mode=mode,
         samples=samples,
         seed=seed,
@@ -256,8 +254,6 @@ def _cmd_search(args) -> int:
         prefilter=not args.no_prefilter,
         factor=factor,
     )
-    free = tuple(i for i in range(spec.cofactor_degree + 1) if i not in fixed)
-    spec = dataclasses.replace(spec, free=free)
     report = run_search(spec, threads=args.threads, budget=args.budget)
     _emit(_report_text(report, args.csv), args.out)
     print(

@@ -76,16 +76,16 @@ class SearchSpec:
     """Declarative description of one curve-family search.
 
     ``degree`` is the degree of the full defining polynomial f.  ``fixed``
-    and ``free`` index the cofactor's coefficients (the whole of f when
-    ``factor`` is None); together they must cover the cofactor exactly, and
-    the leading cofactor coefficient must be fixed and nonzero so every
-    candidate has exact degree 2g+1.
+    maps indices of the cofactor's coefficients (the whole of f when
+    ``factor`` is None) to their values; every index must lie in the
+    cofactor, and the leading cofactor coefficient must be fixed and nonzero
+    so every candidate has exact degree 2g+1.  Every other coefficient is
+    ``free``.
     """
 
     field: FieldSpec
     degree: int
     fixed: Mapping[int, FieldElement]
-    free: tuple[int, ...]
     mode: str = "exhaustive"
     samples: int | None = None
     seed: int | None = None
@@ -109,6 +109,11 @@ class SearchSpec:
             d -= int(self.factor.degree)
         return d
 
+    @property
+    def free(self) -> tuple[int, ...]:
+        """The cofactor indices not fixed, ascending."""
+        return tuple(i for i in range(self.cofactor_degree + 1) if i not in self.fixed)
+
     def exhaustive_size(self) -> int:
         return self.field.order ** len(self.free)
 
@@ -128,15 +133,12 @@ def _validate_spec(spec: SearchSpec) -> None:
     cof_deg = spec.cofactor_degree
     if cof_deg < 0:
         raise ValueError("fixed factor degree exceeds the search degree")
-    indices = sorted(spec.fixed) + sorted(spec.free)
-    if sorted(indices) != list(range(cof_deg + 1)):
-        raise ValueError(
-            "fixed and free indices must disjointly cover the cofactor "
-            f"coefficients 0..{cof_deg}"
-        )
-    if tuple(spec.free) != tuple(sorted(spec.free)):
-        raise ValueError("free indices must be listed in ascending order")
     for idx, el in spec.fixed.items():
+        if not 0 <= idx <= cof_deg:
+            raise ValueError(
+                f"fixed coefficient c{idx} lies outside the cofactor "
+                f"coefficients 0..{cof_deg}"
+            )
         if el.spec != spec.field:
             raise ValueError(f"fixed coefficient c{idx} is from a different field")
     if cof_deg not in spec.fixed or spec.fixed[cof_deg].is_zero:
@@ -170,8 +172,12 @@ class SearchCounts:
     enumerated: int
     squarefree: int
     rank_matched: int
-    a_matched: int
     p_rank_matched: int
+
+    @property
+    def a_matched(self) -> int:
+        """Rank and a-number are one filter: a = g - rank(A)."""
+        return self.rank_matched
 
     def to_dict(self) -> dict:
         return {
@@ -376,7 +382,6 @@ def _merge(
         enumerated=enumerated,
         squarefree=squarefree if sieve is None else sieve,
         rank_matched=rank_matched,
-        a_matched=rank_matched,
         p_rank_matched=p_rank_matched,
     )
     return counts, wits

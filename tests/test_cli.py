@@ -2,10 +2,14 @@ import dataclasses
 import json
 import multiprocessing
 import os
+from pathlib import Path
 
 import pytest
 
 from cartier.cli import main
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+WORKLOADS = json.loads((PERFBENCH / "workloads.json").read_text())
 
 
 def _dead_worker(task):
@@ -271,6 +275,21 @@ class TestReproduceCommand:
         assert implicit == explicit
 
 
+class TestGoldenReports:
+    """The benchmark workloads' reports at the default seed, byte for byte
+    against perfbench/golden/."""
+
+    @pytest.mark.parametrize("key", ["argv", "setup_argv"])
+    @pytest.mark.parametrize("name", sorted(WORKLOADS["workloads"]))
+    def test_report_matches_golden(self, capsys, name, key):
+        seed = str(WORKLOADS["default_seed"])
+        argv = [a.replace("{seed}", seed) for a in WORKLOADS["workloads"][name][key]]
+        suffix = ".setup.json" if key == "setup_argv" else ".json"
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == (PERFBENCH / "golden" / f"{name}{suffix}").read_text()
+
+
 class TestArgumentErrors:
     def test_no_command(self, capsys):
         assert run_cli(capsys)[0] == 2
@@ -293,6 +312,16 @@ class TestArgumentErrors:
         )
         assert code == 2
         assert err.startswith("error: invalid-input:")
+
+    @pytest.mark.parametrize("fix", ["c0=0,c5=1,c7=1", "c-1=0,c5=1"])
+    def test_fixed_index_outside_the_family_exits_2(self, capsys, fix):
+        code, out, err = run_cli(
+            capsys, "search", "--p", "5", "--genus", "2", "--exhaustive", "--fix", fix
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: invalid-input:")
+        assert "lies outside the cofactor" in err
 
     @pytest.mark.parametrize("field", [["--p", "1031"], ["--p", "3", "--k", "7"]])
     def test_field_above_search_cap_exits_2_before_drawing(

@@ -207,13 +207,14 @@ def _per_candidate_squarefree(spec):
 
 def _family(p, k, degree, fixed, free, factor=None):
     F = make_field(p, k)
-    return SearchSpec(
+    spec = SearchSpec(
         field=F,
         degree=degree,
         fixed={i: F.element(v) for i, v in fixed.items()},
-        free=free,
         factor=parse_poly(F, factor) if factor else None,
     )
+    assert spec.free == free
+    return spec
 
 
 @pytest.mark.parametrize(

@@ -23,7 +23,7 @@ from cartier import (
     verify_p_rank_witnesses,
     verify_theorem1,
 )
-from cartier.search import _takes_rank_one_path
+from cartier.search import Witness, _takes_rank_one_path
 
 
 class TestRunSearchSmallFamilies:
@@ -133,12 +133,12 @@ class TestPrefilter:
             field=F,
             degree=2 * genus + 1,
             fixed={i: F.element(v) for i, v in fixed.items()},
-            free=free,
             target_a=genus - 1,
             require_smooth=require_smooth,
             collect_limit=limit,
             factor=parse_poly(F, factor) if factor else None,
         )
+        assert spec.free == free
         off = dataclasses.replace(spec, prefilter=False)
         assert _takes_rank_one_path(spec) and not _takes_rank_one_path(off)
         expected = run_search(off).to_dict()
@@ -216,7 +216,6 @@ class TestRandomMode:
             field=F49,
             degree=9,
             fixed={7: F49.one},
-            free=tuple(range(7)),
             mode="random",
             samples=10,
             seed=11,
@@ -224,6 +223,7 @@ class TestRandomMode:
             collect_limit=10,
             factor=factor,
         )
+        assert spec.free == tuple(range(7))
         rep = run_search(spec)
         assert rep.shard_count == 4
         assert [w.f for w in rep.witnesses] == expected
@@ -311,9 +311,8 @@ class TestCandidateOrder:
             coeffs = dict(fixed)
             coeffs.update(zip(reversed(free), vals))
             expected.append(Poly(F, [coeffs[i] for i in range(6)]))
-        spec = SearchSpec(
-            field=F, degree=5, fixed=fixed, free=free, collect_limit=len(expected)
-        )
+        spec = SearchSpec(field=F, degree=5, fixed=fixed, collect_limit=len(expected))
+        assert spec.free == free
         rep = run_search(spec)
         assert rep.counts.enumerated == len(expected)
         assert [w.f for w in rep.witnesses] == expected
@@ -325,23 +324,27 @@ class TestValidationAndBudget:
         with pytest.raises(BudgetExceededError):
             run_search(spec, budget=1000)
 
-    def test_free_fixed_must_cover(self, F5):
-        with pytest.raises(ValueError, match="cover"):
+    @pytest.mark.parametrize("idx", [6, 9, -1])
+    def test_fixed_index_must_lie_in_cofactor(self, F5, idx):
+        # no other check notices: the index would simply never be read
+        with pytest.raises(ValueError, match=f"c{idx} lies outside"):
             run_search(
                 SearchSpec(
-                    field=F5,
-                    degree=5,
-                    fixed={0: F5.zero, 5: F5.one},
-                    free=(1, 2, 3),  # missing 4
+                    field=F5, degree=5, fixed={0: F5.zero, 5: F5.one, idx: F5.one}
+                )
+            )
+        factor = parse_poly(F5, "0,1")  # x: the cofactor stops at c4
+        with pytest.raises(ValueError, match="c5 lies outside"):
+            run_search(
+                SearchSpec(
+                    field=F5, degree=5, fixed={4: F5.one, 5: F5.one}, factor=factor
                 )
             )
 
     def test_leading_must_be_fixed_nonzero(self, F5):
         with pytest.raises(ValueError, match="leading"):
             run_search(
-                SearchSpec(
-                    field=F5, degree=5, fixed={0: F5.zero}, free=(1, 2, 3, 4, 5)
-                )
+                SearchSpec(field=F5, degree=5, fixed={0: F5.zero})
             )
         with pytest.raises(ValueError, match="leading"):
             run_search(
@@ -349,14 +352,13 @@ class TestValidationAndBudget:
                     field=F5,
                     degree=5,
                     fixed={0: F5.zero, 5: F5.zero},
-                    free=(1, 2, 3, 4),
                 )
             )
 
     def test_even_degree_rejected(self, F5):
         with pytest.raises(ValueError, match="odd"):
             run_search(
-                SearchSpec(field=F5, degree=4, fixed={4: F5.one}, free=(0, 1, 2, 3))
+                SearchSpec(field=F5, degree=4, fixed={4: F5.one})
             )
 
     def test_random_needs_seed_and_samples(self, F5):
@@ -366,7 +368,6 @@ class TestValidationAndBudget:
                     field=F5,
                     degree=5,
                     fixed={0: F5.zero, 5: F5.one},
-                    free=(1, 2, 3, 4),
                     mode="random",
                     samples=10,
                 )
@@ -379,7 +380,6 @@ class TestValidationAndBudget:
                     field=F5,
                     degree=5,
                     fixed={0: F5.zero, 5: F5.one},
-                    free=(1, 2, 3, 4),
                     target_a=3,
                 )
             )
@@ -449,6 +449,22 @@ class TestVerifySuites:
         assert rep.passed and "ordering" in rep.expected
         assert rep.observed["count_p_rank_1"] > rep.observed["count_p_rank_0"]
 
+    def test_p_rank_witnesses_rejects_a_third_p_rank(self, monkeypatch):
+        # a <= g - f leaves an a = g-1 curve p-rank 0 or 1; any other is a fault
+        import cartier.search as search
+
+        real = search.run_search
+
+        def first_with_p_rank_2(spec, **kwargs):
+            rep = real(spec, **kwargs)
+            w = rep.witnesses[0]
+            bad = Witness(w.f, dataclasses.replace(w.invariants, p_rank=2))
+            return dataclasses.replace(rep, witnesses=(bad, *rep.witnesses[1:]))
+
+        monkeypatch.setattr(search, "run_search", first_with_p_rank_2)
+        with pytest.raises(RuntimeError, match="p-rank 2"):
+            verify_p_rank_witnesses(5)
+
 
 class TestSuitesModule:
     def test_every_suite_search_goes_through_the_engine(self, monkeypatch):
@@ -467,7 +483,7 @@ class TestSuitesModule:
         runs = {
             "reproduce_script": (lambda: suites.reproduce_script(2, samples=10), 1),
             "verify_theorem1": (lambda: suites.verify_theorem1(3, 1, 3), 1),
-            "verify_p_rank_witnesses": (lambda: suites.verify_p_rank_witnesses(3), 2),
+            "verify_p_rank_witnesses": (lambda: suites.verify_p_rank_witnesses(3), 1),
         }
         for name, (run, searches) in runs.items():
             calls.clear()
