@@ -36,6 +36,7 @@ from .poly import (
 )
 from .search import (
     DEFAULT_BUDGET,
+    DEFAULT_SAMPLES,
     DEFAULT_SEED,
     SCHEMA,
     BudgetExceededError,

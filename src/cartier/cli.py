@@ -25,6 +25,7 @@ from .invariants import UnsupportedDegreeError, invariants, report_fragment
 from .poly import parse_poly
 from .search import (
     DEFAULT_BUDGET,
+    DEFAULT_SAMPLES,
     DEFAULT_SEED,
     SCHEMA,
     BudgetExceededError,
@@ -159,7 +160,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_rep.add_argument(
         "--samples", type=int, default=None,
-        help="random sample count (script 2 only; default 1000000)",
+        help=f"random sample count (script 2 only; default {DEFAULT_SAMPLES})",
     )
     _run_args(p_rep)
     _output_args(p_rep)
@@ -170,7 +171,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def _make_field_from_args(args) -> FieldSpec:
     mod = None
     if args.mod is not None:
-        mod = [int(c) for c in args.mod.strip().strip("[]").split(",")]
+        text = args.mod.strip()
+        if text[:1] == "[" and text[-1:] == "]":
+            text = text[1:-1]
+        if "[" in text or "]" in text:
+            raise ValueError(f"malformed --mod {args.mod!r} (want 1,0,1 or [1,0,1])")
+        mod = [int(c) for c in text.split(",")]
     return make_field(args.p, args.k, mod)
 
 
@@ -202,8 +208,12 @@ def _parse_fix(field: FieldSpec, text: str | None) -> dict:
         key, sep, value = part.partition("=")
         if not sep:
             raise ValueError(f"malformed --fix entry {part!r} (want cIDX=VALUE)")
-        key = key.strip().lstrip("c")
-        idx = int(key)
+        try:
+            idx = int(key.strip().lstrip("c"))
+        except ValueError:
+            raise ValueError(
+                f"malformed --fix entry {part!r} (want cIDX=VALUE)"
+            ) from None
         if idx in fixed:
             raise ValueError(f"coefficient c{idx} fixed twice")
         fixed[idx] = parse_element(field, value)
@@ -230,21 +240,17 @@ def _cmd_search(args) -> int:
     degree = args.degree if args.degree is not None else 2 * args.genus + 1
     factor = parse_poly(field, args.factor) if args.factor else None
     fixed = _parse_fix(field, args.fix)
+    samples, seed = args.samples, args.seed
     if args.random:
-        samples = args.samples if args.samples is not None else 1_000_000
-        seed = args.seed if args.seed is not None else DEFAULT_SEED
-        mode = "random"
-    else:
-        if args.samples is not None or args.seed is not None:
-            raise ValueError("--samples/--seed only apply to --random searches")
-        samples = None
-        seed = None
-        mode = "exhaustive"
+        samples = samples if samples is not None else DEFAULT_SAMPLES
+        seed = seed if seed is not None else DEFAULT_SEED
+    elif samples is not None or seed is not None:
+        # a spec with samples is a random search
+        raise ValueError("--samples/--seed only apply to --random searches")
     spec = SearchSpec(
         field=field,
         degree=degree,
         fixed=fixed,
-        mode=mode,
         samples=samples,
         seed=seed,
         target_a=args.target_a,
@@ -276,8 +282,12 @@ def _cmd_verify(args) -> int:
     elif args.k is not None or args.genus is not None:
         raise ValueError(f"verify {args.suite} takes no --k or --genus")
     elif args.suite == "prop-p5":
-        p = args.p if args.p is not None else 5
-        result = verify_genus_p_minus_1(p, threads=args.threads, budget=args.budget)
+        if args.p not in (None, 5):
+            raise ValueError(
+                "exhaustive form verification is feasible only for p=5 "
+                "(p=7 and p=11 are forward checks, see forward_form_check)"
+            )
+        result = verify_genus_p_minus_1(threads=args.threads, budget=args.budget)
     else:
         if args.p is None:
             raise ValueError("verify p-rank-witnesses needs --p")

@@ -56,8 +56,11 @@ class Invariants:
     genus: int
     smooth: bool
     rank_a: int
-    a_number: int
     p_rank: int
+
+    @property
+    def a_number(self) -> int:
+        return self.genus - self.rank_a
 
 
 class CartierMatrix:
@@ -200,12 +203,10 @@ def invariants(f: Poly) -> Invariants:
     """
     curve = make_curve(f)
     matrix = cartier_matrix(curve)
-    r = rank(matrix)
     return Invariants(
         genus=curve.genus,
         smooth=curve.smooth,
-        rank_a=r,
-        a_number=curve.genus - r,
+        rank_a=rank(matrix),
         p_rank=_p_rank_of_matrix(matrix),
     )
 

@@ -41,6 +41,7 @@ from .poly import Poly, parse_poly
 __all__ = [
     "SCHEMA",
     "DEFAULT_SEED",
+    "DEFAULT_SAMPLES",
     "DEFAULT_BUDGET",
     "BudgetExceededError",
     "RevalidationError",
@@ -54,6 +55,7 @@ __all__ = [
 
 SCHEMA = "cartier-report/1"
 DEFAULT_SEED = 1
+DEFAULT_SAMPLES = 1_000_000
 DEFAULT_BUDGET = 2**32
 # a random report's shard_count is the number of blocks of this many samples
 _RANDOM_SHARD_SAMPLES = 100_000
@@ -81,12 +83,14 @@ class SearchSpec:
     cofactor, and the leading cofactor coefficient must be fixed and nonzero
     so every candidate has exact degree 2g+1.  Every other coefficient is
     ``free``.
+
+    A spec with ``samples`` is a random search of that many draws from
+    ``seed``; without it the search is exhaustive and takes no seed.
     """
 
     field: FieldSpec
     degree: int
     fixed: Mapping[int, FieldElement]
-    mode: str = "exhaustive"
     samples: int | None = None
     seed: int | None = None
     target_a: int | None = None
@@ -95,6 +99,10 @@ class SearchSpec:
     collect_limit: int = 10
     prefilter: bool = True
     factor: Poly | None = None
+
+    @property
+    def mode(self) -> str:
+        return "exhaustive" if self.samples is None else "random"
 
     @property
     def genus(self) -> int:
@@ -146,18 +154,15 @@ def _validate_spec(spec: SearchSpec) -> None:
             "the leading cofactor coefficient must be fixed and nonzero "
             "(candidates must have exact degree)"
         )
-    if spec.mode not in ("exhaustive", "random"):
-        raise ValueError(f"unknown search mode {spec.mode!r}")
     if spec.mode == "random":
-        if spec.samples is None or spec.samples < 0:
+        if spec.samples < 0:
             raise ValueError("random mode requires a sample count >= 0")
         if spec.seed is None:
             raise ValueError("random mode requires a seed")
         if not spec.free:
             raise ValueError("random mode needs at least one free coefficient")
-    else:
-        if spec.samples is not None or spec.seed is not None:
-            raise ValueError("samples/seed only apply to random mode")
+    elif spec.seed is not None:
+        raise ValueError("a seed only applies to random mode (give samples)")
     g = spec.genus
     if spec.target_a is not None and not 0 <= spec.target_a <= g:
         raise ValueError(f"target a-number must lie in [0, {g}]")
@@ -200,17 +205,27 @@ class Witness:
 
 @dataclass(frozen=True)
 class SearchReport:
-    """One search's result.  ``shard_count`` is structural: the number of
-    top-coefficient shards of an exhaustive search, or of started
+    """One search's result.  ``seed`` and ``shard_count`` are the spec's:
+    the shard count is structural, the number of top-coefficient shards of
+    an exhaustive search (q, or 1 with no free coefficient), or of started
     ``_RANDOM_SHARD_SAMPLES``-sample blocks of a random one, whatever the
     thread count and however the work was dispatched."""
 
     spec: SearchSpec
     counts: SearchCounts
     witnesses: tuple[Witness, ...]
-    seed: int | None
-    shard_count: int
     elapsed_ms: int
+
+    @property
+    def seed(self) -> int | None:
+        return self.spec.seed
+
+    @property
+    def shard_count(self) -> int:
+        spec = self.spec
+        if spec.mode == "random":
+            return -(-spec.samples // _RANDOM_SHARD_SAMPLES)
+        return spec.field.order if spec.free else 1
 
     @property
     def matched(self) -> int:
@@ -303,26 +318,17 @@ def _base_task(spec: SearchSpec) -> dict:
     # builds each f from the factor and the cofactor
     rank_one = _takes_rank_one_path(spec)
     f0, basis = _affine_form(spec) if rank_one else (None, None)
-    return {
-        "p": spec.field.p,
-        "k": spec.field.k,
-        "modulus": list(spec.field.modulus),
-        "degree": spec.degree,
-        "factor": (
+    # the report's spec echo, with the factor and the fixed values as encodings
+    return dict(
+        _spec_to_dict(spec),
+        factor=(
             [c.encoding for c in spec.factor.coeffs] if spec.factor is not None else None
         ),
-        "fixed": sorted((i, el.encoding) for i, el in spec.fixed.items()),
-        "free": list(spec.free),
-        "mode": spec.mode,
-        "require_smooth": spec.require_smooth,
-        "target_a": spec.target_a,
-        "target_p_rank": spec.target_p_rank,
-        "prefilter": spec.prefilter,
-        "collect_limit": spec.collect_limit,
-        "rank_one": rank_one,
-        "f0": f0,
-        "basis": basis,
-    }
+        fixed=sorted((i, el.encoding) for i, el in spec.fixed.items()),
+        rank_one=rank_one,
+        f0=f0,
+        basis=basis,
+    )
 
 
 def _make_tasks(spec: SearchSpec, budget: int) -> list[dict]:
@@ -341,18 +347,16 @@ def _make_tasks(spec: SearchSpec, budget: int) -> list[dict]:
         raise BudgetExceededError(
             f"{spec.samples} random samples exceed budget {budget}"
         )
-    # random: one shared stream, sample-major, ascending free index
+    # random: one shared stream, sample-major, ascending free index, each
+    # piece filled in turn
     rng = random.Random(spec.seed)
     nf = len(spec.free)
     typecode = "B" if q <= 256 else "I"
-    draws = array(typecode)
-    for _ in range(spec.samples * nf):
-        draws.append(_rand_below(rng, q))
     tasks = []
     for start in range(0, spec.samples, _RANDOM_PIECE_SAMPLES):
         count = min(_RANDOM_PIECE_SAMPLES, spec.samples - start)
-        block = draws[start * nf : (start + count) * nf]
-        tasks.append(dict(base, draws=block, count=count))
+        draws = array(typecode, [_rand_below(rng, q) for _ in range(count * nf)])
+        tasks.append(dict(base, draws=draws, count=count))
     return tasks
 
 
@@ -438,6 +442,8 @@ def run_search(
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     _validate_spec(spec)
     t0 = time.perf_counter()
     tasks = _make_tasks(spec, budget)
@@ -456,17 +462,8 @@ def run_search(
             decode = functools.partial(_decode_witness, spec)
             witnesses = tuple(pool.map(decode, wit_encs, chunksize=chunk))
     elapsed_ms = int(round((time.perf_counter() - t0) * 1000))
-    if spec.mode == "random":
-        shard_count = -(-spec.samples // _RANDOM_SHARD_SAMPLES)
-    else:
-        shard_count = len(tasks)
     return SearchReport(
-        spec=spec,
-        counts=counts,
-        witnesses=witnesses,
-        seed=spec.seed,
-        shard_count=shard_count,
-        elapsed_ms=elapsed_ms,
+        spec=spec, counts=counts, witnesses=witnesses, elapsed_ms=elapsed_ms
     )
 
 

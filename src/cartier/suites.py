@@ -16,6 +16,7 @@ from .invariants import invariants
 from .poly import Poly
 from .search import (
     DEFAULT_BUDGET,
+    DEFAULT_SAMPLES,
     DEFAULT_SEED,
     SCHEMA,
     SearchReport,
@@ -114,27 +115,29 @@ def _genus_p_minus_1_form(
     return x * lin_high ** (p - 2) * lin_low**p
 
 
-def forward_form_check(
-    p: int, c_high: FieldElement, c_low: FieldElement
-) -> Witness:
-    """Build the stated g = p-1 factored form for p in {5, 7, 11} and report
-    its invariants.  Rank is reported, never asserted: the forms are claimed
-    necessary for rank one, not sufficient."""
-    if p not in (5, 7, 11):
-        raise ValueError(f"factored form is stated for p in {{5, 7, 11}}, got {p}")
+def forward_form_check(c_high: FieldElement, c_low: FieldElement) -> Witness:
+    """Build the stated g = p-1 factored form and report its invariants; p
+    is the characteristic of the parameters' field, one of 5, 7 and 11.
+    Rank is reported, never asserted: the forms are claimed necessary for
+    rank one, not sufficient."""
     field = c_high.spec
     if field != c_low.spec:
         raise ValueError("form parameters must come from the same field")
-    if field.p != p:
-        raise ValueError(f"form parameters must lie in characteristic {p}")
+    if field.p not in (5, 7, 11):
+        raise ValueError(
+            f"factored form is stated for p in {{5, 7, 11}}, got {field.p}"
+        )
     f = _genus_p_minus_1_form(field, c_high, c_low)
     return Witness(f=f, invariants=invariants(f))
 
 
 def verify_genus_p_minus_1(
-    p: int = 5, *, threads: int = 1, budget: int = DEFAULT_BUDGET
+    *, threads: int = 1, budget: int = DEFAULT_BUDGET
 ) -> ConsistencyReport:
     """Exhaustive check at p=5, g=4 over all 390,625 monic f with c0=0.
+
+    p = 5 is the only characteristic where the exhaustive check is feasible;
+    p = 7 and p = 11 are forward checks (``forward_form_check``).
 
     Confirms (i) no smooth rank-one curve exists, and (ii) every rank-one
     instance in the claim's domain -- models not already singular at x = 0,
@@ -144,11 +147,6 @@ def verify_genus_p_minus_1(
     smooth at the origin); they do exist, are reported, and are checked to be
     non-squarefree, so the headline conclusion (i) holds unconditionally.
     """
-    if p != 5:
-        raise ValueError(
-            "exhaustive form verification is feasible only for p=5 "
-            "(p=7 and p=11 are forward checks, see forward_form_check)"
-        )
     field = make_field(5, 1)
     genus = 4
     spec = monic_odd_family(
@@ -201,7 +199,7 @@ def reproduce_script(
     which: int,
     *,
     seed: int = DEFAULT_SEED,
-    samples: int = 1_000_000,
+    samples: int = DEFAULT_SAMPLES,
     threads: int = 1,
     budget: int = DEFAULT_BUDGET,
 ) -> SearchReport:
@@ -227,7 +225,6 @@ def reproduce_script(
             field=field,
             degree=9,
             fixed={7: field.one},
-            mode="random",
             samples=samples,
             seed=seed,
             target_a=3,

@@ -76,8 +76,8 @@ def theorem1_runs():
 @pytest.fixture(scope="module")
 def prop_p5_runs():
     return {
-        "t4": verify_genus_p_minus_1(5, threads=4),
-        "t1": verify_genus_p_minus_1(5, threads=1),
+        "t4": verify_genus_p_minus_1(threads=4),
+        "t1": verify_genus_p_minus_1(threads=1),
     }
 
 

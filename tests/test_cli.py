@@ -54,6 +54,13 @@ class TestInvariantsCommand:
         assert code == 0
         assert json.loads(out)["k"] == 2
 
+    def test_modulus_in_one_pair_of_brackets(self, capsys):
+        argv = ("invariants", "--p", "3", "--k", "2", "--poly", "0,[1,0],0,0,0,[1,0]")
+        bare = run_cli(capsys, *argv, "--mod", "1,0,1")
+        bracketed = run_cli(capsys, *argv, "--mod", " [1,0,1] ")
+        assert bare[0] == 0
+        assert bracketed[:2] == bare[:2]
+
     def test_non_prime_p_exits_2(self, capsys):
         code, _, err = run_cli(
             capsys, "invariants", "--p", "4", "--poly", "0,1,0,1"
@@ -279,13 +286,24 @@ class TestGoldenReports:
     """The benchmark workloads' reports at the default seed, byte for byte
     against perfbench/golden/."""
 
-    @pytest.mark.parametrize("key", ["argv", "setup_argv"])
-    @pytest.mark.parametrize("name", sorted(WORKLOADS["workloads"]))
-    def test_report_matches_golden(self, capsys, name, key):
+    CASES = [
+        (name, key, threads)
+        for threads in ("1", "2")
+        for name in sorted(WORKLOADS["workloads"])
+        for key in ("argv", "setup_argv")
+    ]
+
+    # --threads 2 is the pool path the benchmark's wall_s runs
+    @pytest.mark.parametrize(
+        "name, key, threads",
+        CASES,
+        ids=[f"{n}-{k}" + ("" if t == "1" else f"-threads{t}") for n, k, t in CASES],
+    )
+    def test_report_matches_golden(self, capsys, name, key, threads):
         seed = str(WORKLOADS["default_seed"])
         argv = [a.replace("{seed}", seed) for a in WORKLOADS["workloads"][name][key]]
         suffix = ".setup.json" if key == "setup_argv" else ".json"
-        code, out, _ = run_cli(capsys, *argv)
+        code, out, _ = run_cli(capsys, *argv, "--threads", threads)
         assert code == 0
         assert out == (PERFBENCH / "golden" / f"{name}{suffix}").read_text()
 
@@ -312,6 +330,75 @@ class TestArgumentErrors:
         )
         assert code == 2
         assert err.startswith("error: invalid-input:")
+
+    @pytest.mark.parametrize("flags", [["--samples", "5"], ["--seed", "3"]])
+    def test_exhaustive_draw_flags_exit_2(self, capsys, monkeypatch, flags):
+        # a spec with samples would be a random search, so the flags must
+        # not reach it
+        import cartier.cli as cli
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("search started despite a random-only flag")
+
+        monkeypatch.setattr(cli, "run_search", no_search)
+        code, out, err = run_cli(
+            capsys,
+            "search", "--p", "3", "--genus", "2", "--fix", "c0=0,c5=1",
+            "--exhaustive", *flags,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: invalid-input:")
+        assert "only apply to --random searches" in err
+
+    @pytest.mark.parametrize(
+        "mod", ["[1,0,1", "1,0,1]", "[[1,0,1]]"], ids=["open", "close", "nested"]
+    )
+    def test_unbalanced_modulus_brackets_exit_2(self, capsys, mod):
+        code, out, err = run_cli(
+            capsys, "invariants", "--p", "3", "--k", "2", "--mod", mod,
+            "--poly", "0,[1,0],0,0,0,[1,0]",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: invalid-input: malformed --mod")
+
+    @pytest.mark.parametrize("entry", ["c=1", "cx=1"])
+    def test_fix_entry_without_index_exits_2(self, capsys, entry):
+        code, out, err = run_cli(
+            capsys,
+            "search", "--p", "3", "--genus", "2", "--fix", f"c0=0,{entry},c5=1",
+            "--exhaustive",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: invalid-input:")
+        assert f"malformed --fix entry {entry!r} (want cIDX=VALUE)" in err
+
+    def test_negative_budget_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "search", "--p", "3", "--genus", "2", "--fix", "c0=0,c5=1",
+            "--exhaustive", "--budget", "-1",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: invalid-input:")
+        assert "budget must be >= 0" in err
+
+    def test_prop_p5_other_p_exits_2(self, capsys, monkeypatch):
+        # the exhaustive check exists at p = 5 only
+        import cartier.search as search
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("search started for an unsupported p")
+
+        monkeypatch.setattr(search, "run_search", no_search)
+        code, out, err = run_cli(capsys, "verify", "prop-p5", "--p", "7")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: invalid-input:")
+        assert "forward_form_check" in err
 
     @pytest.mark.parametrize("fix", ["c0=0,c5=1,c7=1", "c-1=0,c5=1"])
     def test_fixed_index_outside_the_family_exits_2(self, capsys, fix):
@@ -432,7 +519,9 @@ class TestFailureExitCodes:
 
         real = search.invariants
         monkeypatch.setattr(
-            search, "invariants", lambda f: dataclasses.replace(real(f), a_number=2)
+            search,
+            "invariants",
+            lambda f: dataclasses.replace(real(f), rank_a=real(f).genus - 2),
         )
         code, out, err = run_cli(capsys, *self.WITNESS_SEARCH, "--threads", threads)
         assert code == 6

@@ -19,7 +19,6 @@ from cartier import (
     reproduce_script,
     revalidate_report_dict,
     run_search,
-    verify_genus_p_minus_1,
     verify_p_rank_witnesses,
     verify_theorem1,
 )
@@ -216,7 +215,6 @@ class TestRandomMode:
             field=F49,
             degree=9,
             fixed={7: F49.one},
-            mode="random",
             samples=10,
             seed=11,
             require_smooth=False,
@@ -235,7 +233,7 @@ class TestRandomMode:
         import cartier.search as search
 
         spec = monic_odd_family(
-            F5, 2, mode="random", samples=40, seed=3, target_p_rank=2,
+            F5, 2, samples=40, seed=3, target_p_rank=2,
             collect_limit=9,
         )
         docs = set()
@@ -368,10 +366,20 @@ class TestValidationAndBudget:
                     field=F5,
                     degree=5,
                     fixed={0: F5.zero, 5: F5.one},
-                    mode="random",
                     samples=10,
                 )
             )
+
+    def test_seed_without_samples_rejected(self, F5):
+        # a spec without samples is exhaustive, and an exhaustive search
+        # draws nothing to seed
+        spec = SearchSpec(
+            field=F5, degree=5, fixed={0: F5.zero, 5: F5.one}, seed=3
+        )
+        assert spec.mode == "exhaustive"
+        assert dataclasses.replace(spec, samples=0).mode == "random"
+        with pytest.raises(ValueError, match="seed only applies to random mode"):
+            run_search(spec)
 
     def test_target_out_of_range(self, F5):
         with pytest.raises(ValueError, match="target"):
@@ -503,7 +511,7 @@ class TestSuitesModule:
 
 class TestForwardFormCheck:
     def test_degenerate_p7(self, F7):
-        res = forward_form_check(7, F7.zero, F7.zero)
+        res = forward_form_check(F7.zero, F7.zero)
         assert res.f == Poly.monomial(F7, 13)
         assert res.invariants.genus == 6
         assert not res.invariants.smooth
@@ -517,20 +525,18 @@ class TestForwardFormCheck:
                 cl = random_element(F, rng)
                 if ch.is_zero or cl.is_zero or ch == cl:
                     continue
-                res = forward_form_check(p, ch, cl)
+                res = forward_form_check(ch, cl)
                 assert res.invariants.genus == p - 1
                 assert not res.invariants.smooth
 
     def test_rank_recorded_not_asserted(self, F5):
         rng = random.Random(23)
-        res = forward_form_check(
-            5, random_element(F5, rng), random_element(F5, rng)
-        )
+        res = forward_form_check(random_element(F5, rng), random_element(F5, rng))
         assert 0 <= res.invariants.rank_a <= 4
 
     def test_rejects_other_characteristic(self, F3):
         with pytest.raises(ValueError):
-            forward_form_check(5, F3.one, F3.one)
+            forward_form_check(F3.one, F3.one)
 
 
 class TestGenusPMinus1:
@@ -551,10 +557,6 @@ class TestGenusPMinus1:
         assert g == x * lin1**3 * lin2**5
         assert g.coefficient(8) == F5.element(1)
         assert g.coefficient(4) == F5.element(2)
-
-    def test_rejects_p7(self):
-        with pytest.raises(ValueError):
-            verify_genus_p_minus_1(7)
 
 
 class TestReproduceSmoke:
