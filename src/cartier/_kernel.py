@@ -8,17 +8,16 @@ operation tables, built once per field and process from the object layer
 logs of a generator of F_q^*), so fields are capped at
 ``TableKernel.MAX_ORDER`` elements.
 
-A shard runs one of two paths.  The per-candidate path tests every
-candidate: squarefree gcd, the rank-one prefilter on rows 1 and g, then the
-full half power, rank and p-rank.  An exhaustive search for rank one (a =
-g-1) with the prefilter on may instead take the rank-one path: the
-family is affine, f = f0 + sum c_i b_i, so ``rank_one_survivors`` joins the
-assignments of the coefficients row 1 reads with those row g reads on the
-projective class of the row, and the per-candidate loop checks only the
-joined survivors.  Its squarefree count then covers the survivors only; the
-search takes the family's count from ``squarefree_count``, a Moebius sieve
-over F_q[x] that runs once per search and enumerates no candidate.  The
-per-candidate path stays the oracle for both.
+``scan`` tests each candidate of a task: squarefree gcd, the rank-one
+prefilter on rows 1 and g, then the full half power, rank and p-rank.  A
+task is a top-coefficient shard of an exhaustive search or a piece of
+assignments: random draws or, for an exhaustive search for rank one (a =
+g-1) with the prefilter on, survivors of ``rank_one_survivors``.  That join
+runs once per search: the family is affine, f = f0 + sum c_i b_i, so it
+matches the assignments of the coefficients row 1 reads with those row g
+reads on the projective class of the row.  The family's squarefree count
+then comes from ``squarefree_count``, a Moebius sieve over F_q[x] that
+enumerates no candidate.  Checking every candidate stays the oracle.
 
 The object layer in fields/poly/invariants is the reference implementation.
 Everything here is cross-checked against it by the test suite, and every
@@ -253,9 +252,9 @@ def _row1(kern, low, g):
 
 
 def _rowg(kern, high, g):
-    """Row g of the matrix from f's top (p+1)/2 coefficients, highest first."""
+    """Row g of the matrix from f's top (p+1)/2 coefficients, ascending."""
     e = (kern.char - 1) // 2
-    kappa = kern.poly_pow_trunc(high, e, e + 1)
+    kappa = kern.poly_pow_trunc(high[::-1], e, e + 1)
     n = len(kappa)
     shift = g - e
     return [
@@ -268,7 +267,7 @@ def end_rows(kern, f, g):
     reversal; used by the rank-1 prefilter without a full expansion."""
     p = kern.char
     half = (p + 1) // 2
-    return _row1(kern, f[:p], g), _rowg(kern, f[: -half - 1 : -1], g)
+    return _row1(kern, f[:p], g), _rowg(kern, f[-half:], g)
 
 
 def rows_could_be_rank_le_1(kern, r1, rg):
@@ -310,80 +309,85 @@ def _combine(kern, base, terms, lo, hi):
     return out
 
 
-def rank_one_survivors(kern, task, slots):
-    """The shard's assignments of ``slots`` whose matrix rows 1 and g are
-    proportional (a zero row is proportional to every row), in the order
-    ``itertools.product`` gives them.  Rank <= 1 forces the two rows to be
-    proportional, so every other assignment has rank >= 2.
+def rank_one_survivors(kern, f0, basis, free):
+    """The assignments of f = f0 + sum c_i b_i (i in ``free``, ascending,
+    ``basis`` aligned) whose matrix rows 1 and g are proportional (a zero
+    row is proportional to every row), which rank <= 1 forces.  They come in
+    enumeration order (the top free coefficient most significant, the
+    lowest fastest), each as the little-endian bytes of its values in
+    ascending free index, one byte a value or two past q = 256.
 
-    f = f0 + sum c_i b_i.  If f[:v] = 0 across the family, row 1 reads only
-    f[v : p - (e-1)v] (every term of f^e below x^p has e-1 factors of index
-    at least v), and row g reads f[deg-e:].  A slot is read by a row when
-    its b_i meets that window.  Slots only row 1 reads are bucketed by the
-    class of row 1, slots only row g reads by the class of row g, slots both
-    read are an outer loop, and slots neither reads are enumerated for each
-    joined pair only.
+    If f[:v] = 0 across the family, row 1 reads only f[v : p - (e-1)v]
+    (every term of f^e below x^p has e-1 factors of index at least v), and
+    row g reads f[deg-e:].  A slot is read by a row when its b_i meets that
+    window.  The top slot is the outermost loop, then slots both rows read.
+    Slots only row 1 reads are bucketed by the class of row 1, once per
+    window of f it reads, slots only row g reads by the class of row g, and
+    slots neither reads are enumerated for each joined pair only.
     """
     q = kern.q
     e = (kern.char - 1) // 2
-    degree = task["degree"]
+    degree = len(f0) - 1
     g = (degree - 1) // 2
-    basis = dict(zip(task["free"], task["basis"]))
-    top = [(task["top"], task["basis"][-1])]  # the shard's value of the top slot
-    f0 = _combine(kern, task["f0"], top, 0, degree + 1)
-    v = min(j for b in [task["f0"], *task["basis"]] for j, x in enumerate(b) if x)
+    v = min(j for b in [f0, *basis] for j, x in enumerate(b) if x)
     row1_end = max(v, min(kern.char - (e - 1) * v, degree + 1))
     rowg_start = max(0, degree - e)
 
     groups = {"outer": [], "row1": [], "rowg": [], "inner": []}
-    for pos, idx in enumerate(slots):
-        b = basis[idx]
+    for pos, b in enumerate(basis[:-1]):
         r1 = any(b[v:row1_end])
         rg = any(b[rowg_start:])
         key = "outer" if r1 and rg else "row1" if r1 else "rowg" if rg else "inner"
         groups[key].append(pos)
 
-    # a survivor is kept as its base-q number, first slot most significant,
-    # which sorts like the tuple and takes a fraction of the memory
-    weight = [q ** (len(slots) - 1 - pos) for pos in range(len(slots))]
+    # a survivor is kept as the number whose little-endian bytes it is: the
+    # top slot most significant, so numbers sort in enumeration order
+    size = 1 if q <= 256 else 2
+    weights = [256 ** (size * pos) for pos in range(len(free))]
 
     def assignments(key):
         """(assignment, its part of the number) for every assignment of the
         group's slots."""
         for vals in itertools.product(range(q), repeat=len(groups[key])):
-            yield vals, sum(c * weight[pos] for pos, c in zip(groups[key], vals))
+            yield vals, sum(c * weights[pos] for pos, c in zip(groups[key], vals))
 
     def terms(key, vals):
-        return [(c, basis[slots[pos]]) for pos, c in zip(groups[key], vals)]
+        return [(c, basis[pos]) for pos, c in zip(groups[key], vals)]
 
-    numbers = []
+    def classes(key, base, lo, hi, row):
+        """The group's numbers by the class of the row it reads from f[lo:hi]."""
+        found: dict = {}
+        for vals, n in assignments(key):
+            window = _combine(kern, base, terms(key, vals), lo, hi)
+            found.setdefault(_class_key(kern, row(kern, window, g)), []).append(n)
+        return found
+
+    by_window: dict = {}  # row 1's classes, once per window of f it reads
     inner = [n for _, n in assignments("inner")]
-    for outer, n_outer in assignments("outer"):
-        base = _combine(kern, f0, terms("outer", outer), 0, degree + 1)
-        by_row1: dict = {}
-        for a, n_a in assignments("row1"):
-            low = _combine(kern, base, terms("row1", a), 0, row1_end)
-            key = _class_key(kern, _row1(kern, low, g))
-            by_row1.setdefault(key, []).append(n_outer + n_a)
-        by_rowg: dict = {}
-        for b, n_b in assignments("rowg"):
-            high = _combine(kern, base, terms("rowg", b), rowg_start, degree + 1)
-            key = _class_key(kern, _rowg(kern, high[::-1], g))
-            by_rowg.setdefault(key, []).append(n_b)
-        every_b = [n for ns in by_rowg.values() for n in ns]
-        wild_b = by_rowg.get(None, [])
-        for key, a_list in by_row1.items():
-            b_list = every_b if key is None else by_rowg.get(key, []) + wild_b
-            for n_a in a_list:
-                for n_b in b_list:
-                    n_ab = n_a + n_b
-                    numbers.extend(n_ab + n_d for n_d in inner)
-    numbers.sort()
-    for n in numbers:
-        vals = [0] * len(slots)
-        for pos in range(len(slots) - 1, -1, -1):
-            n, vals[pos] = divmod(n, q)
-        yield tuple(vals)
+    for top in range(q):
+        if any(basis[-1][v:row1_end]):
+            by_window.clear()  # no window recurs under another top value
+        n_top = top * weights[-1]
+        top_base = _combine(kern, f0, [(top, basis[-1])], 0, degree + 1)
+        numbers = []
+        for outer, n_outer in assignments("outer"):
+            base = _combine(kern, top_base, terms("outer", outer), 0, degree + 1)
+            window = tuple(base[:row1_end])
+            if window not in by_window:
+                by_window[window] = classes("row1", base, 0, row1_end, _row1)
+            by_row1 = by_window[window]
+            by_rowg = classes("rowg", base, rowg_start, degree + 1, _rowg)
+            every_b = [n for ns in by_rowg.values() for n in ns]
+            wild_b = by_rowg.get(None, [])
+            for key, a_list in by_row1.items():
+                b_list = every_b if key is None else by_rowg.get(key, []) + wild_b
+                for n_a in a_list:
+                    for n_b in b_list:
+                        n_ab = n_top + n_outer + n_a + n_b
+                        numbers.extend(n_ab + n_d for n_d in inner)
+        numbers.sort()
+        for n in numbers:
+            yield n.to_bytes(size * len(free), "little")
 
 
 # ---------------------------------------------------------------------------
@@ -525,14 +529,14 @@ def squarefree_count(kern, f0, basis):
 
 
 def scan(task: dict) -> dict:
-    """Run one shard of a search; pure function of the task description.
+    """Run one task of a search; pure function of the task description.
 
-    Returns enumerated/squarefree/rank/p-rank counts and up to
-    ``collect_limit`` matching coefficient vectors (encodings, ascending).
-    A ``rank_one`` shard checks only the ``rank_one_survivors`` of the
-    shard: its enumerated count is still the whole shard's, but its
-    squarefree count covers the survivors only (the search takes the
-    family's from ``squarefree_count``).
+    A task with ``draws`` checks its ``count`` assignments (sample-major,
+    ascending free index): random draws or rank-one survivors.  Any other
+    is the top-coefficient shard ``top`` and checks every assignment of the
+    other free coefficients.  Returns enumerated/squarefree/rank/p-rank
+    counts of the candidates checked and up to ``collect_limit`` matching
+    coefficient vectors (encodings, ascending).
     """
     kern = get_kernel(task["p"], task["k"], tuple(task["modulus"]))
     q = kern.q
@@ -547,9 +551,7 @@ def scan(task: dict) -> dict:
     target_p_rank = task["target_p_rank"]
     limit = task["collect_limit"]
     target_rank = g - target_a if target_a is not None else None
-    use_prefilter = (
-        task["prefilter"] and target_rank == 1 and e >= 2
-    )
+    use_prefilter = task["prefilter"] and target_rank == 1 and e >= 2
 
     cof_len = degree + 1 - (len(factor) - 1 if factor else 0)
     u = [0] * cof_len
@@ -562,23 +564,18 @@ def scan(task: dict) -> dict:
     rank = kern.rank
     p_rank = kern.p_rank
 
-    if task["mode"] == "exhaustive":
+    if "draws" in task:
+        slots = free
+        total = task["count"]
+        candidates = zip(*[iter(task["draws"])] * len(slots))
+    else:
         # the shard fixes the top free coefficient; product varies its last
         # slot fastest, so the lowest free index moves fastest
         if free:
             u[free[-1]] = task["top"]
         slots = free[-2::-1]
         total = q ** len(slots)
-        if task["rank_one"]:
-            candidates = rank_one_survivors(kern, task, slots)
-            use_prefilter = False
-        else:
-            candidates = itertools.product(range(q), repeat=len(slots))
-    else:
-        # sample-major draws, ascending free index within a sample
-        slots = free
-        total = task["count"]
-        candidates = zip(*[iter(task["draws"])] * len(slots))
+        candidates = itertools.product(range(q), repeat=len(slots))
     filtered = target_rank is not None or target_p_rank is not None
 
     n_sq = 0

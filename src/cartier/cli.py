@@ -8,14 +8,16 @@ byte-identical across runs and thread counts; timing is reported on stderr.
 
 Exit codes: 0 ok, 1 verification failure, 2 invalid input, 3 unsupported
 input (even-degree model), 4 candidate budget exceeded, 5 out of resources
-(a worker process died or memory ran out), 6 internal error (the object layer
-rejected a witness the kernel found).
+(a worker process died, memory ran out or the reader closed stdout), 6
+internal error (the object layer rejected a witness the kernel found).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import sys
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -184,7 +186,7 @@ def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text + "\n")
     else:
-        print(text)
+        print(text, flush=True)  # a closed reader shows here, not at exit
 
 
 def _json(doc: dict) -> str:
@@ -206,14 +208,11 @@ def _parse_fix(field: FieldSpec, text: str | None) -> dict:
         if not part:
             continue
         key, sep, value = part.partition("=")
-        if not sep:
+        # a negative index is well formed, and lies outside the cofactor
+        match = re.fullmatch(r"c(-?[0-9]+)", key.strip())
+        if not sep or match is None:
             raise ValueError(f"malformed --fix entry {part!r} (want cIDX=VALUE)")
-        try:
-            idx = int(key.strip().lstrip("c"))
-        except ValueError:
-            raise ValueError(
-                f"malformed --fix entry {part!r} (want cIDX=VALUE)"
-            ) from None
+        idx = int(match[1])
         if idx in fixed:
             raise ValueError(f"coefficient c{idx} fixed twice")
         fixed[idx] = parse_element(field, value)
@@ -360,7 +359,9 @@ def main(argv: list[str] | None = None) -> int:
     except RevalidationError as exc:
         print(f"error: internal: {exc}", file=sys.stderr)
         return 6
-    except (BrokenProcessPool, MemoryError) as exc:
+    except (BrokenProcessPool, BrokenPipeError, MemoryError) as exc:
+        if isinstance(exc, BrokenPipeError):  # reader gone: the exit flush goes nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: resource: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 5
     except UnsupportedDegreeError as exc:

@@ -8,30 +8,29 @@ the final expanded coefficient vectors.
 
 Determinism contract: identical specs (including seed) produce identical
 reports for any thread count.  Exhaustive spaces shard on the value of the
-highest-order free coefficient; random mode draws every sample's coefficients
-from a single MT19937 stream up front (sample-major, ascending free index)
-and cuts it into fixed pieces of ``_RANDOM_PIECE_SAMPLES`` samples, so the
-candidate sequence never depends on worker scheduling.  Task results merge in
-task order: counts add, witness lists concatenate and truncate.  A random
-report's ``shard_count`` counts blocks of ``_RANDOM_SHARD_SAMPLES`` samples,
-not pieces.  ``elapsed_ms`` is the one non-reproducible field and is never
-serialized.
-
-Exhaustive rank-one searches over large enough families check, inside each
-shard, only the survivors of a join on the matrix's end rows, and take the
-squarefree count from a sieve run once per search (see ``_kernel``); their
-reports are the ones the per-candidate path gives.
+highest-order free coefficient.  Random mode draws every sample's
+coefficients from one MT19937 stream up front (sample-major, ascending free
+index) and cuts it into fixed pieces of ``_PIECE`` samples.  Exhaustive
+rank-one searches over large enough families check only the survivors of one
+join on the end rows, run in the parent and cut the same way in enumeration
+order, and take the squarefree count from a sieve (see ``_kernel``); their
+reports are the per-candidate path's.  Task results merge in task order:
+counts add, witness lists concatenate and truncate.  ``enumerated`` is the
+spec's, and ``shard_count`` never counts pieces.  ``elapsed_ms`` is the one
+non-reproducible field and is never serialized.
 """
 
 from __future__ import annotations
 
 import functools
 import random
+import sys
 import time
 from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Mapping
+from itertools import islice
+from typing import Iterable, Mapping
 
 from . import _kernel
 from .fields import FieldElement, FieldSpec, _rand_below, make_field
@@ -59,9 +58,10 @@ DEFAULT_SAMPLES = 1_000_000
 DEFAULT_BUDGET = 2**32
 # a random report's shard_count is the number of blocks of this many samples
 _RANDOM_SHARD_SAMPLES = 100_000
-# the unit of work in random mode: a divisor of _RANDOM_SHARD_SAMPLES, small
-# enough that a few pieces per worker balance even a 2 x 10^4-sample search
-_RANDOM_PIECE_SAMPLES = 2_500
+# the assignments in one piece of random draws or of rank-one survivors: a
+# divisor of _RANDOM_SHARD_SAMPLES, small enough that a few pieces per worker
+# balance even a 2 x 10^4-sample search
+_PIECE = 2_500
 
 
 class BudgetExceededError(ValueError):
@@ -314,10 +314,6 @@ def _takes_rank_one_path(spec: SearchSpec) -> bool:
 
 
 def _base_task(spec: SearchSpec) -> dict:
-    # only the rank-one path reads the affine form; the per-candidate path
-    # builds each f from the factor and the cofactor
-    rank_one = _takes_rank_one_path(spec)
-    f0, basis = _affine_form(spec) if rank_one else (None, None)
     # the report's spec echo, with the factor and the fixed values as encodings
     return dict(
         _spec_to_dict(spec),
@@ -325,65 +321,73 @@ def _base_task(spec: SearchSpec) -> dict:
             [c.encoding for c in spec.factor.coeffs] if spec.factor is not None else None
         ),
         fixed=sorted((i, el.encoding) for i, el in spec.fixed.items()),
-        rank_one=rank_one,
-        f0=f0,
-        basis=basis,
     )
 
 
 def _make_tasks(spec: SearchSpec, budget: int) -> list[dict]:
     base = _base_task(spec)
     q = spec.field.order
+    nf = len(spec.free)
+    typecode = "B" if q <= 256 else "H"  # a value in one byte, or two
     if spec.mode == "exhaustive":
         size = spec.exhaustive_size()
         if size > budget:
             raise BudgetExceededError(
                 f"exhaustive space of {size} candidates exceeds budget {budget}"
             )
-        if not spec.free:
-            return [dict(base, top=None)]
-        return [dict(base, top=v) for v in range(q)]
-    if spec.samples > budget:
-        raise BudgetExceededError(
-            f"{spec.samples} random samples exceed budget {budget}"
-        )
-    # random: one shared stream, sample-major, ascending free index, each
-    # piece filled in turn
-    rng = random.Random(spec.seed)
-    nf = len(spec.free)
-    typecode = "B" if q <= 256 else "I"
-    tasks = []
-    for start in range(0, spec.samples, _RANDOM_PIECE_SAMPLES):
-        count = min(_RANDOM_PIECE_SAMPLES, spec.samples - start)
-        draws = array(typecode, [_rand_below(rng, q) for _ in range(count * nf)])
-        tasks.append(dict(base, draws=draws, count=count))
-    return tasks
+        if not _takes_rank_one_path(spec):
+            if not spec.free:
+                return [dict(base, top=None)]
+            return [dict(base, top=v) for v in range(q)]
+        # the join's survivors in enumeration order, each the little-endian
+        # bytes of its values; a piece joins _PIECE of them
+        kern = _kernel.get_kernel(spec.field.p, spec.field.k, spec.field.modulus)
+        rows = _kernel.rank_one_survivors(kern, *_affine_form(spec), spec.free)
+        pieces = []
+        while chunk := b"".join(islice(rows, _PIECE)):
+            pieces.append(array(typecode, chunk))
+            if sys.byteorder == "big":
+                pieces[-1].byteswap()
+    else:
+        if spec.samples > budget:
+            raise BudgetExceededError(
+                f"{spec.samples} random samples exceed budget {budget}"
+            )
+        # one shared stream, sample-major, ascending free index, each piece
+        # filled in turn
+        rng = random.Random(spec.seed)
+        pieces = []
+        for start in range(0, spec.samples, _PIECE):
+            count = min(_PIECE, spec.samples - start)
+            draws = [_rand_below(rng, q) for _ in range(count * nf)]
+            pieces.append(array(typecode, draws))
+    return [dict(base, draws=d, count=len(d) // nf) for d in pieces]
 
 
-def _squarefree_total(spec: SearchSpec, tasks: list[dict]) -> int | None:
+def _squarefree_total(spec: SearchSpec) -> int | None:
     """The family's squarefree count from the sieve on the rank-one path,
-    whose shards count survivors only; None elsewhere."""
-    if not tasks or not tasks[0]["rank_one"]:
+    whose pieces count survivors only; None elsewhere."""
+    if not _takes_rank_one_path(spec):
         return None
-    field = spec.field
-    kern = _kernel.get_kernel(field.p, field.k, tuple(field.modulus))
-    return _kernel.squarefree_count(kern, tasks[0]["f0"], tasks[0]["basis"])
+    kern = _kernel.get_kernel(spec.field.p, spec.field.k, spec.field.modulus)
+    return _kernel.squarefree_count(kern, *_affine_form(spec))
 
 
 def _merge(
-    spec: SearchSpec, results: list[dict], sieve: int | None
+    spec: SearchSpec, results: Iterable[dict]
 ) -> tuple[SearchCounts, list[list[int]]]:
-    enumerated = squarefree = rank_matched = p_rank_matched = 0
+    # the sieve runs before results is drawn, so it overlaps a pool's scan
+    sieve = _squarefree_total(spec)
+    squarefree = rank_matched = p_rank_matched = 0
     wits: list[list[int]] = []
     for res in results:
-        enumerated += res["enumerated"]
         squarefree += res["squarefree"]
         rank_matched += res["rank_matched"]
         p_rank_matched += res["p_rank_matched"]
         if len(wits) < spec.collect_limit:
             wits.extend(res["witnesses"][: spec.collect_limit - len(wits)])
     counts = SearchCounts(
-        enumerated=enumerated,
+        enumerated=spec.samples if spec.mode == "random" else spec.exhaustive_size(),
         squarefree=squarefree if sieve is None else sieve,
         rank_matched=rank_matched,
         p_rank_matched=p_rank_matched,
@@ -448,15 +452,12 @@ def run_search(
     t0 = time.perf_counter()
     tasks = _make_tasks(spec, budget)
     if threads <= 1 or len(tasks) <= 1:
-        results = [_kernel.scan(t) for t in tasks]
-        counts, wit_encs = _merge(spec, results, _squarefree_total(spec, tasks))
+        counts, wit_encs = _merge(spec, map(_kernel.scan, tasks))
         witnesses = tuple(_decode_witness(spec, enc) for enc in wit_encs)
     else:
         workers = min(threads, len(tasks))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            pending = pool.map(_kernel.scan, tasks)
-            sieve = _squarefree_total(spec, tasks)  # while the shards run
-            counts, wit_encs = _merge(spec, list(pending), sieve)
+            counts, wit_encs = _merge(spec, pool.map(_kernel.scan, tasks))
             # about four chunks per worker: few round trips, balanced tails
             chunk = max(1, len(wit_encs) // (4 * workers))
             decode = functools.partial(_decode_witness, spec)

@@ -2,13 +2,16 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from cartier.cli import main
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 WORKLOADS = json.loads((PERFBENCH / "workloads.json").read_text())
 
 
@@ -363,7 +366,7 @@ class TestArgumentErrors:
         assert out == ""
         assert err.startswith("error: invalid-input: malformed --mod")
 
-    @pytest.mark.parametrize("entry", ["c=1", "cx=1"])
+    @pytest.mark.parametrize("entry", ["c=1", "cx=1", "cc3=0", "3=0"])
     def test_fix_entry_without_index_exits_2(self, capsys, entry):
         code, out, err = run_cli(
             capsys,
@@ -558,13 +561,34 @@ class TestFailureExitCodes:
         assert reason in err
 
     def test_dead_worker_exits_5(self, capsys, monkeypatch):
+        # the rank-one search's survivors fit in one piece at the default
+        # size; pieces of 2 send them to the pool
         import cartier._kernel as _kernel
+        import cartier.search as search
 
+        monkeypatch.setattr(search, "_PIECE", 2)
         monkeypatch.setattr(_kernel, "scan", _dead_worker)
         code, out, err = run_cli(capsys, *self.WITNESS_SEARCH, "--threads", "2")
         assert code == 5
         assert out == ""
         assert err.startswith("error: resource: BrokenProcessPool")
+
+    def test_closed_stdout_exits_5(self):
+        # the report's reader is gone before the first byte: the write is a
+        # resource error, and the exit prints nothing more
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            res = subprocess.run(
+                [sys.executable, "-m", "cartier", *self.WITNESS_SEARCH],
+                stdout=write, stderr=subprocess.PIPE, text=True, timeout=120,
+                env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            )
+        finally:
+            os.close(write)
+        assert res.returncode == 5
+        error = "error: resource: BrokenPipeError: [Errno 32] Broken pipe\n"
+        assert res.stderr == error
 
     def test_dead_worker_on_random_path_exits_5(self, capsys, monkeypatch):
         # 6000 samples are three pieces, so a random search reaches the pool

@@ -164,32 +164,68 @@ def test_scan_counts_match_object_brute_force():
 def test_join_survivors_are_the_proportional_end_rows(
     p, k, degree, fixed, free, factor, survivors
 ):
-    # every shard's survivors, in order, against a filter of the whole
-    # shard by the per-candidate end-row test
-    spec = dataclasses.replace(
-        _family(p, k, degree, fixed, free, factor), target_a=(degree - 3) // 2
-    )
+    # the whole family's survivors, in enumeration order (top coefficient
+    # first, lowest fastest), against a filter of the whole family by the
+    # per-candidate end-row test
+    spec = _family(p, k, degree, fixed, free, factor)
     kern = get_kernel(p, k, spec.field.modulus)
-    g = spec.genus
-    total = 0
-    for task in _make_tasks(spec, DEFAULT_BUDGET):
-        slots = task["free"][-2::-1]
-        u = [0] * (spec.cofactor_degree + 1)
-        for idx, enc in task["fixed"]:
-            u[idx] = enc
-        u[task["free"][-1]] = task["top"]
-        expected = []
-        for vals in itertools.product(range(kern.q), repeat=len(slots)):
-            for i, v in zip(slots, vals):
-                u[i] = v
-            f = kern.poly_mul(task["factor"], u) if task["factor"] else u
-            if rows_could_be_rank_le_1(kern, *end_rows(kern, f, g)):
-                expected.append(vals)
-        assert list(rank_one_survivors(kern, task, slots)) == expected
-        total += len(expected)
-    assert total > 0
+    factor = [c.encoding for c in spec.factor.coeffs] if factor else None
+    u = [0] * (spec.cofactor_degree + 1)
+    for idx, el in spec.fixed.items():
+        u[idx] = el.encoding
+    expected = []
+    for top_first in itertools.product(range(kern.q), repeat=len(free)):
+        for i, v in zip(free[::-1], top_first):
+            u[i] = v
+        f = kern.poly_mul(factor, u) if factor else u
+        if rows_could_be_rank_le_1(kern, *end_rows(kern, f, spec.genus)):
+            expected.append(top_first[::-1])
+    # one byte a value below q = 256
+    rows = rank_one_survivors(kern, *_affine_form(spec), free)
+    found = [tuple(row) for row in rows]
+    assert found == expected
+    assert found
     if survivors is not None:
-        assert total == survivors
+        assert len(found) == survivors
+
+
+def test_join_rows_take_two_bytes_a_value_past_256():
+    # genus 1 over F_289: the matrix is 1 x 1, so every assignment survives,
+    # and its row holds two little-endian bytes a value
+    spec = _family(17, 2, 3, {0: 0, 3: 1}, (1, 2))
+    kern = get_kernel(17, 2, spec.field.modulus)
+    rows = list(rank_one_survivors(kern, *_affine_form(spec), spec.free))
+    assert rows == [
+        c1.to_bytes(2, "little") + c2.to_bytes(2, "little")
+        for c2 in range(289)
+        for c1 in range(289)
+    ]
+    # and a piece of them holds the values, ascending free index
+    tasks = _make_tasks(dataclasses.replace(spec, target_a=0), DEFAULT_BUDGET)
+    assert len(tasks) == -(-(289**2) // 2500)
+    assert tasks[0]["draws"].typecode == "H"
+    values = [v for c2 in range(289) for c1 in range(289) for v in (c1, c2)]
+    assert list(tasks[0]["draws"]) == values[: 2 * 2500]
+
+
+def test_join_buckets_row1_once_per_window(monkeypatch):
+    # the top coefficient c6 lies outside row 1's window f[1:5]; c4 lies in
+    # both rows' windows, so row 1's window takes 7 values.  Each is
+    # bucketed once over the 7^3 values of c1..c3, not once per value of c6
+    import cartier._kernel as _kernel
+
+    spec = _family(7, 1, 7, {0: 0, 7: 1}, (1, 2, 3, 4, 5, 6))
+    kern = get_kernel(7, 1, spec.field.modulus)
+    real = _kernel._row1
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(_kernel, "_row1", counted)
+    assert list(rank_one_survivors(kern, *_affine_form(spec), spec.free))
+    assert len(calls) == 7 * 7**3
 
 
 # -- the squarefree sieve ----------------------------------------------------

@@ -204,7 +204,7 @@ class TestRandomMode:
         import cartier.search as search
 
         monkeypatch.setattr(search, "_RANDOM_SHARD_SAMPLES", 3)
-        monkeypatch.setattr(search, "_RANDOM_PIECE_SAMPLES", 2)
+        monkeypatch.setattr(search, "_PIECE", 2)
         rng = random.Random(11)
         factor = parse_poly(F49, "0,6,1")  # x(x-1)
         expected = []
@@ -226,33 +226,46 @@ class TestRandomMode:
         assert rep.shard_count == 4
         assert [w.f for w in rep.witnesses] == expected
 
-    def test_piece_boundaries_do_not_change_report(self, F5, monkeypatch):
+    def test_piece_boundaries_do_not_change_report(self, F5, F7, monkeypatch):
         # witnesses come from several pieces, and at piece sizes 3 and 7 the
-        # collect limit of 9 cuts the list inside a piece
+        # collect limit of 9 cuts the list inside a piece; the rank-one
+        # family's pieces hold survivors of the end-row join
         import cartier._kernel as _kernel
         import cartier.search as search
 
-        spec = monic_odd_family(
+        random_spec = monic_odd_family(
             F5, 2, samples=40, seed=3, target_p_rank=2,
             collect_limit=9,
         )
-        docs = set()
-        for piece in (1, 3, 7, 40, 2500):
-            monkeypatch.setattr(search, "_RANDOM_PIECE_SAMPLES", piece)
-            tasks = search._make_tasks(spec, search.DEFAULT_BUDGET)
-            assert len(tasks) == -(-40 // piece)
-            if piece in (3, 7):
-                found = [len(_kernel.scan(t)["witnesses"]) for t in tasks]
-                before = itertools.accumulate([0, *found])
-                assert sum(1 for n in found if n) > 1
-                assert any(b < 9 < b + n for b, n in zip(before, found))
-            for threads in (1, 2):
-                rep = run_search(spec, threads=threads)
-                assert rep.shard_count == -(-40 // search._RANDOM_SHARD_SAMPLES)
-                docs.add(json.dumps(rep.to_dict()))
-        assert len(docs) == 1
-        doc = json.loads(docs.pop())
-        assert (doc["matched"], len(doc["witnesses"])) == (20, 9)
+        rank_one_spec = monic_odd_family(F7, 2, target_a=1, collect_limit=9)
+        assert search._takes_rank_one_path(rank_one_spec)
+        # sizes, then the assignments checked, enumerated, matched, shards
+        cases = [
+            (random_spec, (1, 3, 7, 40, 2500), (40, 40, 20, 1)),
+            (rank_one_spec, (1, 3, 7, 2500), (439, 7**4, 252, 7)),
+        ]
+        for spec, sizes, (checked, enumerated, matched, shards) in cases:
+            docs = set()
+            for piece in sizes:
+                monkeypatch.setattr(search, "_PIECE", piece)
+                tasks = search._make_tasks(spec, search.DEFAULT_BUDGET)
+                counts = [t["count"] for t in tasks]
+                assert len(tasks) == -(-checked // piece)
+                assert sum(counts) == checked
+                assert counts[:-1] == [piece] * (len(tasks) - 1)
+                if piece in (3, 7):
+                    found = [len(_kernel.scan(t)["witnesses"]) for t in tasks]
+                    before = itertools.accumulate([0, *found])
+                    assert sum(1 for n in found if n) > 1
+                    assert any(b < 9 < b + n for b, n in zip(before, found))
+                for threads in (1, 2):
+                    rep = run_search(spec, threads=threads)
+                    assert rep.shard_count == shards
+                    docs.add(json.dumps(rep.to_dict()))
+            assert len(docs) == 1
+            doc = json.loads(docs.pop())
+            assert doc["counts"]["enumerated"] == enumerated
+            assert (doc["matched"], len(doc["witnesses"])) == (matched, 9)
 
     def test_script2_pieces_are_not_report_shards(self, monkeypatch):
         # 2 x 10^4 samples: eight pieces for the pool, one shard in the report
