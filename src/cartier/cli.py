@@ -19,7 +19,6 @@ import json
 import os
 import re
 import sys
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 from .fields import FieldSpec, make_field, parse_element, _split_csv
@@ -338,6 +337,13 @@ def _cmd_reproduce(args) -> int:
     return code
 
 
+def _pool_errors() -> tuple[type[Exception], ...]:
+    # a pool that was never imported cannot have broken; an except clause
+    # evaluates this only when an exception reaches it
+    pool = sys.modules.get("concurrent.futures.process")
+    return (pool.BrokenProcessPool,) if pool is not None else ()
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -359,7 +365,7 @@ def main(argv: list[str] | None = None) -> int:
     except RevalidationError as exc:
         print(f"error: internal: {exc}", file=sys.stderr)
         return 6
-    except (BrokenProcessPool, BrokenPipeError, MemoryError) as exc:
+    except (BrokenPipeError, MemoryError, *_pool_errors()) as exc:
         if isinstance(exc, BrokenPipeError):  # reader gone: the exit flush goes nowhere
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: resource: {type(exc).__name__}: {exc}", file=sys.stderr)

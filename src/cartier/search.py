@@ -27,7 +27,6 @@ import random
 import sys
 import time
 from array import array
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Mapping
@@ -443,6 +442,10 @@ def run_search(
     it enters the report, which doubles as a kernel/reference cross-check on
     each match.  With a worker pool the merged, truncated witness list is
     re-validated on the same pool, in witness order.
+
+    The pool starts, and its modules are imported, only when ``threads`` > 1
+    and the search has more than one task (shard or piece); every other
+    search runs in this process and never loads them.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -455,6 +458,8 @@ def run_search(
         counts, wit_encs = _merge(spec, map(_kernel.scan, tasks))
         witnesses = tuple(_decode_witness(spec, enc) for enc in wit_encs)
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         workers = min(threads, len(tasks))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             counts, wit_encs = _merge(spec, pool.map(_kernel.scan, tasks))

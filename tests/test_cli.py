@@ -311,6 +311,55 @@ class TestGoldenReports:
         assert out == (PERFBENCH / "golden" / f"{name}{suffix}").read_text()
 
 
+class TestPoolImport:
+    """A run loads the worker pool's modules only when it starts a pool."""
+
+    POOL_MODULES = ["multiprocessing", "concurrent.futures.process"]
+    # cli.main in a fresh interpreter; the last stderr line names the pool
+    # modules the run loaded
+    PROBE = (
+        "import sys\n"
+        "from cartier.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        f"print(*(m for m in {POOL_MODULES!r} if m in sys.modules), file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+
+    def run_fresh(self, *argv):
+        res = subprocess.run(
+            [sys.executable, "-c", self.PROBE, *argv],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        )
+        assert res.returncode == 0, res.stderr
+        return res.stdout, res.stderr.splitlines()[-1].split()
+
+    SERIAL = {
+        "invariants": ["invariants", "--p", "3", "--poly", "0,1,0,0,0,1"],
+        "theorem1-f9-threads1": [
+            *WORKLOADS["workloads"]["theorem1-f9"]["argv"], "--threads", "1"
+        ],
+        # 42 rank-one survivors are one piece
+        "script1-f7-threads2": [
+            *WORKLOADS["workloads"]["script1-f7"]["argv"], "--threads", "2"
+        ],
+        "script2-100-samples-threads2": [
+            "reproduce", "--script", "2", "--samples", "100", "--threads", "2"
+        ],
+    }
+
+    @pytest.mark.parametrize("argv", SERIAL.values(), ids=SERIAL.keys())
+    def test_one_task_runs_do_not_load_the_pool(self, argv):
+        assert self.run_fresh(*argv)[1] == []
+
+    def test_pooled_run_loads_the_pool_and_keeps_its_report(self):
+        # 7 top-coefficient shards at --threads 2
+        argv = WORKLOADS["workloads"]["witness-heavy"]["argv"]
+        out, loaded = self.run_fresh(*argv, "--threads", "2")
+        assert loaded == self.POOL_MODULES
+        assert out == self.run_fresh(*argv, "--threads", "1")[0]
+
+
 class TestArgumentErrors:
     def test_no_command(self, capsys):
         assert run_cli(capsys)[0] == 2
