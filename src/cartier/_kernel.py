@@ -210,7 +210,7 @@ class TableKernel:
         twisted = rows
         for _ in range(1, g):
             twisted = [[frob[x] for x in row] for row in twisted]
-            prod = self._matmul(prod, twisted)
+            prod = self._matmul(twisted, prod)
         return self.rank([list(r) for r in prod])
 
 

@@ -4,7 +4,7 @@ A hyperelliptic curve y^2 = f(x) with deg f = 2g+1 has the g x g matrix
 A = [a_ij] with a_ij = kappa_{p*i - j} (1-indexed), where the kappa_i are the
 coefficients of f^((p-1)/2); indices outside [0, deg] read as zero.  The
 a-number is g - rank(A), and the p-rank is the rank of the g-fold semilinear
-iterate A * A^(sigma) * ... * A^(sigma^(g-1)), sigma the entrywise p-power map.
+iterate A^(sigma^(g-1)) * ... * A^(sigma) * A, sigma the entrywise p-power map.
 
 The matrix is always built from actual kappa coefficients; the structural
 zero patterns are enforced as tests, never as construction shortcuts, so a
@@ -176,10 +176,15 @@ def _matmul(
 
 
 def _p_rank_of_matrix(matrix: CartierMatrix) -> int:
-    """Rank of A * A^(sigma) * ... * A^(sigma^(g-1)).
+    """Rank of A^(sigma^(g-1)) * ... * A^(sigma) * A.
 
-    The g-fold iterate has the stable rank of the semilinear operator; any of
-    the usual twist/transpose conventions yields the same rank.
+    The Cartier operator sends coordinates c to (A c)^(sigma^-1), so its
+    g-th iterate is (A^(sigma^-1) * ... * A^(sigma^-g)) c^(sigma^-g), whose
+    sigma^g image is the product above; the g-fold iterate has the stable
+    rank.  Over F_p and F_{p^2} the reverse product A * ... * A^(sigma^(g-1))
+    has the same rank (for odd g it is the same matrix, for even g the
+    entrywise Frobenius of this one); over F_{p^k} with k >= 3 its rank can
+    differ.
     """
     g = matrix.g
     zero = matrix.spec.zero
@@ -187,7 +192,7 @@ def _p_rank_of_matrix(matrix: CartierMatrix) -> int:
     twisted = [list(row) for row in matrix.entries]
     for _ in range(1, g):
         twisted = [[e.frobenius(1) for e in row] for row in twisted]
-        prod = _matmul(prod, twisted, zero)
+        prod = _matmul(twisted, prod, zero)
     return _rank_of_rows(prod)
 
 

@@ -14,10 +14,13 @@ index) and cuts it into fixed pieces of ``_PIECE`` samples.  Exhaustive
 rank-one searches over large enough families check only the survivors of one
 join on the end rows, run in the parent and cut the same way in enumeration
 order, and take the squarefree count from a sieve (see ``_kernel``); their
-reports are the per-candidate path's.  Task results merge in task order:
-counts add, witness lists concatenate and truncate.  ``enumerated`` is the
-spec's, and ``shard_count`` never counts pieces.  ``elapsed_ms`` is the one
-non-reproducible field and is never serialized.
+reports are the per-candidate path's.  A pool gets one worker per
+``_WORKER_CANDIDATES`` candidates checked, up to the thread count and the
+task count, so a smaller search runs in this process at any thread count.
+Task results merge in task order: counts add, witness lists concatenate and
+truncate.  ``enumerated`` is the spec's, and ``shard_count`` never counts
+pieces.  ``elapsed_ms`` is the one non-reproducible field and is never
+serialized.
 """
 
 from __future__ import annotations
@@ -61,6 +64,11 @@ _RANDOM_SHARD_SAMPLES = 100_000
 # divisor of _RANDOM_SHARD_SAMPLES, small enough that a few pieces per worker
 # balance even a 2 x 10^4-sample search
 _PIECE = 2_500
+# the candidates that repay one pool worker: on a 2-core host the pool's
+# import, start and teardown cost about 40-60 ms, and the per-candidate path
+# 15-40 us a candidate, so a worker needs on the order of 1 000 candidates
+# to pay for itself; a search of at most this many runs in this process
+_WORKER_CANDIDATES = 1_000
 
 
 class BudgetExceededError(ValueError):
@@ -363,6 +371,17 @@ def _make_tasks(spec: SearchSpec, budget: int) -> list[dict]:
     return [dict(base, draws=d, count=len(d) // nf) for d in pieces]
 
 
+def _worker_count(spec: SearchSpec, tasks: list[dict], threads: int) -> int:
+    """The pool size for ``tasks``: at most ``threads``, one per task and one
+    per ``_WORKER_CANDIDATES`` candidates checked, where a piece checks its
+    count and the top-coefficient shards split the whole family."""
+    if tasks and "count" not in tasks[0]:
+        checked = spec.exhaustive_size()
+    else:
+        checked = sum(t["count"] for t in tasks)
+    return min(threads, len(tasks), -(-checked // _WORKER_CANDIDATES))
+
+
 def _squarefree_total(spec: SearchSpec) -> int | None:
     """The family's squarefree count from the sieve on the rank-one path,
     whose pieces count survivors only; None elsewhere."""
@@ -443,9 +462,11 @@ def run_search(
     each match.  With a worker pool the merged, truncated witness list is
     re-validated on the same pool, in witness order.
 
-    The pool starts, and its modules are imported, only when ``threads`` > 1
-    and the search has more than one task (shard or piece); every other
-    search runs in this process and never loads them.
+    The pool gets at most ``threads`` workers, one per task (shard or
+    piece) and one per ``_WORKER_CANDIDATES`` candidates the tasks check, so
+    that each worker repays its start-up.  It starts, and its modules are
+    imported, only when that comes to two or more workers; every other
+    search runs in this process, as at ``threads`` = 1, and never loads them.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -454,13 +475,13 @@ def run_search(
     _validate_spec(spec)
     t0 = time.perf_counter()
     tasks = _make_tasks(spec, budget)
-    if threads <= 1 or len(tasks) <= 1:
+    workers = _worker_count(spec, tasks, threads)
+    if workers <= 1:
         counts, wit_encs = _merge(spec, map(_kernel.scan, tasks))
         witnesses = tuple(_decode_witness(spec, enc) for enc in wit_encs)
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        workers = min(threads, len(tasks))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             counts, wit_encs = _merge(spec, pool.map(_kernel.scan, tasks))
             # about four chunks per worker: few round trips, balanced tails

@@ -346,6 +346,13 @@ class TestPoolImport:
         "script2-100-samples-threads2": [
             "reproduce", "--script", "2", "--samples", "100", "--threads", "2"
         ],
+        # 7 to 9 one-candidate shards: too few candidates for a second worker
+        **{
+            f"{name}-setup-threads2": [
+                *WORKLOADS["workloads"][name]["setup_argv"], "--threads", "2"
+            ]
+            for name in ("theorem1-f9", "script1-f7", "witness-heavy")
+        },
     }
 
     @pytest.mark.parametrize("argv", SERIAL.values(), ids=SERIAL.keys())
@@ -353,11 +360,46 @@ class TestPoolImport:
         assert self.run_fresh(*argv)[1] == []
 
     def test_pooled_run_loads_the_pool_and_keeps_its_report(self):
-        # 7 top-coefficient shards at --threads 2
+        # 2 401 candidates in 7 top-coefficient shards at --threads 2
         argv = WORKLOADS["workloads"]["witness-heavy"]["argv"]
         out, loaded = self.run_fresh(*argv, "--threads", "2")
         assert loaded == self.POOL_MODULES
         assert out == self.run_fresh(*argv, "--threads", "1")[0]
+
+    @pytest.mark.parametrize(
+        "name, key, threads, n_tasks, workers",
+        [
+            ("theorem1-f9", "setup_argv", 2, 9, 1),
+            ("script1-f7", "setup_argv", 2, 7, 1),
+            ("witness-heavy", "setup_argv", 2, 7, 1),
+            ("witness-heavy", "argv", 2, 7, 2),
+            ("witness-heavy", "argv", 64, 7, 3),
+            ("theorem1-f9", "argv", 64, 1, 1),
+            ("script2-f49", "argv", 64, 8, 8),
+        ],
+    )
+    def test_worker_count_follows_the_candidates(
+        self, capsys, monkeypatch, name, key, threads, n_tasks, workers
+    ):
+        # one worker per 1 000 candidates, at most one per task and thread:
+        # 7 to 9 one-candidate set-up shards get one, 2 401 candidates in 7
+        # shards get 3 and 2 x 10^4 samples in 8 pieces get 8
+        from cartier import search
+
+        made = []
+        real = search._make_tasks
+
+        def recorder(spec, budget):
+            made.append((spec, real(spec, budget)))
+            return made[-1][1]
+
+        monkeypatch.setattr(search, "_make_tasks", recorder)
+        seed = str(WORKLOADS["default_seed"])
+        argv = [a.replace("{seed}", seed) for a in WORKLOADS["workloads"][name][key]]
+        assert run_cli(capsys, *argv, "--threads", "1")[0] == 0
+        [(spec, tasks)] = made
+        assert len(tasks) == n_tasks
+        assert search._worker_count(spec, tasks, threads) == workers
 
 
 class TestArgumentErrors:
@@ -564,11 +606,17 @@ class TestFailureExitCodes:
     )
 
     @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_revalidation_failure_exits_6(self, capsys, monkeypatch, threads):
+    def test_revalidation_failure_exits_6(
+        self, capsys, monkeypatch, pool_starts, threads
+    ):
         # the object layer disagrees with the kernel on every witness; at
-        # --threads 2 the disagreement is found on a pool worker
+        # --threads 2 the disagreement is found on a pool worker, which the
+        # 81-candidate family reaches only in pieces of 2 and with a floor of
+        # one candidate a worker
         import cartier.search as search
 
+        monkeypatch.setattr(search, "_PIECE", 2)
+        monkeypatch.setattr(search, "_WORKER_CANDIDATES", 1)
         real = search.invariants
         monkeypatch.setattr(
             search,
@@ -580,6 +628,7 @@ class TestFailureExitCodes:
         assert out == ""
         assert err.startswith("error: internal:")
         assert "a=2, wanted 1" in err
+        assert pool_starts == ([] if threads == "1" else [2])
 
     @pytest.mark.parametrize(
         "tamper, reason",
@@ -611,11 +660,13 @@ class TestFailureExitCodes:
 
     def test_dead_worker_exits_5(self, capsys, monkeypatch):
         # the rank-one search's survivors fit in one piece at the default
-        # size; pieces of 2 send them to the pool
+        # size and are too few for a second worker; pieces of 2 and a floor
+        # of one candidate a worker send them to the pool
         import cartier._kernel as _kernel
         import cartier.search as search
 
         monkeypatch.setattr(search, "_PIECE", 2)
+        monkeypatch.setattr(search, "_WORKER_CANDIDATES", 1)
         monkeypatch.setattr(_kernel, "scan", _dead_worker)
         code, out, err = run_cli(capsys, *self.WITNESS_SEARCH, "--threads", "2")
         assert code == 5
@@ -640,7 +691,8 @@ class TestFailureExitCodes:
         assert res.stderr == error
 
     def test_dead_worker_on_random_path_exits_5(self, capsys, monkeypatch):
-        # 6000 samples are three pieces, so a random search reaches the pool
+        # 6000 samples are three pieces and enough candidates for two
+        # workers, so a random search reaches the pool
         import cartier._kernel as _kernel
 
         monkeypatch.setattr(_kernel, "scan", _dead_worker)

@@ -1,8 +1,10 @@
 """Oracles outside the kappa = f^((p-1)/2) pipeline and metamorphic
-relations: Manin's point-count congruence, and invariants that a change of
-variable or a Frobenius twist of the coefficients must keep, checked in the
+relations: Manin's point-count congruence, the p-rank read off the
+L-polynomial of point counts, and invariants that a change of variable, a
+twist or a Frobenius twist of the coefficients must keep, checked in the
 object layer and in the kernel."""
 
+import functools
 import random
 
 import pytest
@@ -17,6 +19,7 @@ from cartier import (
     make_field,
 )
 from cartier._kernel import get_kernel, matrix_rows
+from cartier.invariants import _matmul
 
 
 def _random_normalized(F, genus, rng):
@@ -53,6 +56,132 @@ def _point_count(coeffs, p):
             v = (v * x + c) % p
         total += chi[pow(v, (p - 1) // 2, p)]
     return total
+
+
+@functools.lru_cache(maxsize=None)
+def _extension(F, i):
+    """F_{q^i} (q = |F|, default modulus) and the image in it of F's
+    generator: a root of F's modulus, found by search."""
+    E = make_field(F.p, F.k * i)
+    modulus = Poly.from_ints(E, F.modulus)
+    return E, next(x for x in enumerate_field(E) if modulus(x).is_zero)
+
+
+def _count_over_extension(f, i):
+    """#C(F_{q^i}) for y^2 = f(x), deg f odd, through the object layer: f is
+    carried into F_{q^i} by an embedding of F_q, and each affine x adds 1 or
+    2 points when f(x) is zero or a nonzero square, plus one at infinity."""
+    F = f.spec
+    E, t = _extension(F, i)
+    powers = [E.one]
+    for _ in range(1, F.k):
+        powers.append(powers[-1] * t)
+
+    def embed(c):
+        acc = E.zero
+        for d, w in zip(c.coords, powers):
+            acc = acc + E.element(d) * w
+        return acc
+
+    image = Poly(E, [embed(c) for c in f.coeffs])
+    elements = list(enumerate_field(E))
+    squares = {x * x for x in elements}
+    total = 1
+    for x in elements:
+        v = image(x)
+        total += 1 if v.is_zero else 2 if v in squares else 0
+    return total
+
+
+def _l_polynomial_head(f, genus):
+    """a_0..a_g of L(T) = 1 + a_1 T + ... from #C(F_{q^i}), i <= g, by
+    Newton's identities: s_i = q^i + 1 - #C(F_{q^i}) is the i-th power sum of
+    the reciprocal roots."""
+    q = f.spec.order
+    s = [q**i + 1 - _count_over_extension(f, i) for i in range(1, genus + 1)]
+    a = [1]
+    for i in range(1, genus + 1):
+        total = -sum(s[j - 1] * a[i - j] for j in range(1, i + 1))
+        assert total % i == 0
+        a.append(total // i)
+    return a
+
+
+def _p_rank_from_counts(f, genus):
+    """The p-rank is the degree of L(T) mod p, and only a_0..a_g can be
+    nonzero mod p (a_{2g-i} = q^(g-i) a_i)."""
+    a = _l_polynomial_head(f, genus)
+    return max((i for i in range(genus + 1) if a[i] % f.spec.p), default=0)
+
+
+@pytest.mark.parametrize(
+    "coeffs, head, p_rank",
+    [
+        ([10, 10, 20, 23, 20, 26, 5, 1], [1, -5, 54, -216], 1),
+        ([6, 10, 6, 16, 26, 23, 3, 1], [1, 0, -4, 108], 2),
+    ],
+)
+def test_p_rank_from_point_counts_over_f27(coeffs, head, p_rank):
+    # genus 3 over F_27, counted over F_27, F_3^6 and F_3^9: the p-rank (the
+    # last a_i not divisible by 3) is the rank of A^(sigma^2) A^(sigma) A,
+    # where A A^(sigma) A^(sigma^2) has another rank on these two curves
+    F = make_field(3, 3)
+    assert F.modulus == (1, 2, 0, 1)
+    f = Poly.from_ints(F, coeffs)
+    assert _l_polynomial_head(f, 3) == head
+    inv = invariants(f)
+    assert inv.smooth and inv.p_rank == p_rank
+    assert _kernel_invariants(F, f) == (True, inv.rank_a, p_rank)
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (3, 3)])
+def test_p_rank_from_point_counts_genus2(p, k):
+    F = make_field(p, k)
+    rng = random.Random(9500 + 10 * p + k)
+    checked = 0
+    while checked < 6:
+        f = Poly.from_ints(F, [rng.randrange(F.order) for _ in range(5)] + [1])
+        if not is_squarefree(f):
+            continue
+        p_rank = _p_rank_from_counts(f, 2)
+        assert invariants(f).p_rank == p_rank, f.text()
+        assert _kernel_invariants(F, f)[2] == p_rank, f.text()
+        checked += 1
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (3, 3), (7, 2)])
+def test_manin_congruence_over_extension_fields(p, k):
+    # over F_q, q = p^k: #C(F_q) = 1 - tr(A^(sigma^(k-1)) ... A^(sigma) A)
+    # (mod p), the trace lying in F_p; the count is the object layer's
+    F = make_field(p, k)
+    kern = get_kernel(p, k, F.modulus)
+    rng = random.Random(9700 + 10 * p + k)
+    checked = 0
+    while checked < 12:
+        genus = rng.randint(1, 3)
+        f = Poly.from_ints(
+            F, [rng.randrange(F.order) for _ in range(2 * genus + 1)] + [1]
+        )
+        if not is_squarefree(f):
+            continue
+        residue = (1 - _count_over_extension(f, 1)) % p
+        obj = [list(row) for row in cartier_matrix(make_curve(f)).entries]
+        prod, twisted = obj, obj
+        _, _, rows = _kernel_rows(F, f)
+        kprod, ktwisted = rows, rows
+        for _ in range(1, k):
+            twisted = [[e.frobenius(1) for e in row] for row in twisted]
+            prod = _matmul(twisted, prod, F.zero)
+            ktwisted = [[kern.frob_table[e] for e in row] for row in ktwisted]
+            kprod = kern._matmul(ktwisted, kprod)
+        trace = F.zero
+        ktrace = 0
+        for i in range(genus):
+            trace = trace + prod[i][i]
+            ktrace = kern.add[ktrace][kprod[i][i]]
+        assert trace == F.element(residue), f.text()
+        assert ktrace == residue, f.text()
+        checked += 1
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
@@ -107,5 +236,53 @@ def test_frobenius_on_coefficients_keeps_invariants(p, k):
     for _ in range(45):
         f = _random_normalized(F, rng.randint(1, 4), rng)
         image = Poly(F, [c.frobenius(1) for c in f.coeffs])
+        assert invariants(image) == invariants(f), f.text()
+        assert _kernel_invariants(F, image) == _kernel_invariants(F, f), f.text()
+
+
+def _compose(f, u):
+    """f(u(x)) by Horner's rule."""
+    acc = Poly.zero(f.spec)
+    for c in reversed(f.coeffs):
+        acc = acc * u + Poly(f.spec, [c])
+    return acc
+
+
+def _random_monic(F, degree, rng):
+    return Poly(F, [F.from_encoding(rng.randrange(F.order)) for _ in range(degree)] + [F.one])
+
+
+@pytest.mark.parametrize("p,k", [(5, 1), (7, 1), (7, 2)])
+def test_reflection_of_script2_family_keeps_invariants(p, k):
+    # f = x(x-1)h, h monic (script 2 is genus 4 over F_49): -f(1-x) is
+    # monic and divisible by x(x-1) again, and it is the curve y^2 = f(1-x)
+    # twisted by -1, with the same invariants over the algebraic closure
+    F = make_field(p, k)
+    rng = random.Random(9800 + 10 * p + k)
+    factor = Poly(F, [F.zero, -F.one, F.one])
+    reflection = Poly(F, [F.one, -F.one])
+    for _ in range(40):
+        genus = rng.randint(1, 4)
+        f = factor * _random_monic(F, 2 * genus - 1, rng)
+        image = -_compose(f, reflection)
+        assert image.leading == F.one
+        assert image(F.zero).is_zero and image(F.one).is_zero
+        assert invariants(image) == invariants(f), f.text()
+        assert _kernel_invariants(F, image) == _kernel_invariants(F, f), f.text()
+
+
+@pytest.mark.parametrize("p,k", [(5, 1), (7, 1), (7, 2)])
+def test_translation_by_a_root_keeps_invariants(p, k):
+    # f = x(x-r)h with r != 0: x -> x + r moves the root r to 0, so f(x+r)
+    # is monic with c0 = 0 again, an isomorphic curve
+    F = make_field(p, k)
+    units = [u for u in enumerate_field(F) if not u.is_zero]
+    rng = random.Random(9900 + 10 * p + k)
+    for _ in range(40):
+        genus = rng.randint(1, 4)
+        r = rng.choice(units)
+        f = Poly(F, [F.zero, -r, F.one]) * _random_monic(F, 2 * genus - 1, rng)
+        image = _compose(f, Poly(F, [r, F.one]))
+        assert image.leading == F.one and image.coefficient(0).is_zero
         assert invariants(image) == invariants(f), f.text()
         assert _kernel_invariants(F, image) == _kernel_invariants(F, f), f.text()

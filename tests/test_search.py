@@ -182,8 +182,14 @@ class TestDeterminism:
         assert run_search(spec, threads=1).shard_count == 5
         assert run_search(spec, threads=4).shard_count == 5
 
-    def test_witness_truncation_is_global_first_k(self, F3):
-        # the merged prefix across shards equals the single-thread prefix
+    def test_witness_truncation_is_global_first_k(
+        self, F3, monkeypatch, pool_starts
+    ):
+        # the merged prefix across shards equals the single-thread prefix;
+        # 81 candidates reach the pool only with a floor of one a worker
+        import cartier.search as search
+
+        monkeypatch.setattr(search, "_WORKER_CANDIDATES", 1)
         full = run_search(
             monic_odd_family(F3, 2, target_a=0, require_smooth=True, collect_limit=34)
         )
@@ -191,6 +197,7 @@ class TestDeterminism:
             monic_odd_family(F3, 2, target_a=0, require_smooth=True, collect_limit=5),
             threads=2,
         )
+        assert pool_starts == [2]
         assert [w.fragment() for w in prefix.witnesses] == [
             w.fragment() for w in full.witnesses[:5]
         ]
@@ -226,13 +233,19 @@ class TestRandomMode:
         assert rep.shard_count == 4
         assert [w.f for w in rep.witnesses] == expected
 
-    def test_piece_boundaries_do_not_change_report(self, F5, F7, monkeypatch):
+    def test_piece_boundaries_do_not_change_report(
+        self, F5, F7, monkeypatch, pool_starts
+    ):
         # witnesses come from several pieces, and at piece sizes 3 and 7 the
         # collect limit of 9 cuts the list inside a piece; the rank-one
-        # family's pieces hold survivors of the end-row join
+        # family's pieces hold survivors of the end-row join.  Both searches
+        # are too small for a second worker, so a floor of one candidate a
+        # worker sends every run of two or more pieces at two threads to
+        # the pool
         import cartier._kernel as _kernel
         import cartier.search as search
 
+        monkeypatch.setattr(search, "_WORKER_CANDIDATES", 1)
         random_spec = monic_odd_family(
             F5, 2, samples=40, seed=3, target_p_rank=2,
             collect_limit=9,
@@ -259,7 +272,10 @@ class TestRandomMode:
                     assert sum(1 for n in found if n) > 1
                     assert any(b < 9 < b + n for b, n in zip(before, found))
                 for threads in (1, 2):
+                    started = len(pool_starts)
                     rep = run_search(spec, threads=threads)
+                    pooled = threads == 2 and len(tasks) > 1
+                    assert pool_starts[started:] == ([2] if pooled else [])
                     assert rep.shard_count == shards
                     docs.add(json.dumps(rep.to_dict()))
             assert len(docs) == 1
