@@ -9,8 +9,13 @@ logs of a generator of F_q^*), so fields are capped at
 ``TableKernel.MAX_ORDER`` elements.
 
 ``scan`` tests each candidate of a task: squarefree gcd, the rank-one
-prefilter on rows 1 and g, then the full half power, rank and p-rank.  A
-task is a top-coefficient shard of an exhaustive search or a piece of
+prefilter on rows 1 and g, then the full half power, rank and p-rank.  Rows
+1 and g need f^e (e = (p-1)/2) below x^p and the power of f's reversal below
+x^(e+1).  Both come from Miller's power-series recurrence, which divides
+only by m < p and so is exact in characteristic p; row 1 first shifts out
+f's low zeros, so that the series it expands starts at a unit.
+
+A task is a top-coefficient shard of an exhaustive search or a piece of
 assignments: random draws or, for an exhaustive search for rank one (a =
 g-1) with the prefilter on, survivors of ``rank_one_survivors``.  That join
 runs once per search: the family is affine, f = f0 + sum c_i b_i, so it
@@ -115,6 +120,31 @@ class TableKernel:
                 result = self.poly_mul_trunc(result, a, n)
         return result
 
+    def poly_pow_low(self, a, e, n):
+        """a^e below x^n, as n coefficients, for e >= 1, n <= p and a[0]
+        nonzero, by Miller's recurrence (Knuth, TAOCP vol. 2, 4.7):
+        m a_0 c_m = sum_k ((e+1)k - m) a_k c_(m-k).  Every m < n <= p is a
+        unit, so the recurrence is exact."""
+        add = self.add
+        mul = self.mul
+        inv = self.inv
+        p = self.char
+        ma0 = mul[a[0]]
+        c0 = a[0]
+        for _ in range(e - 1):
+            c0 = ma0[c0]
+        c = [c0]
+        top = len(a) - 1
+        for m in range(1, n):
+            acc = 0
+            for k in range(1, min(m, top) + 1):
+                ak = a[k]
+                cmk = c[m - k]
+                if ak and cmk:
+                    acc = add[acc][mul[((e + 1) * k - m) % p][mul[ak][cmk]]]
+            c.append(mul[acc][inv[ma0[m]]])
+        return c
+
     def is_squarefree(self, f):
         """gcd(f, f') constant and f' nonzero; f must have exact degree
         len(f)-1 >= 1 (nonzero leading encoding)."""
@@ -128,28 +158,38 @@ class TableKernel:
             d.pop()
         if not d:
             return False
-        a, b = list(f), d
+        a, b = list(f), d  # each step overwrites a with a mod b, in place
         while True:
             db = len(b) - 1
             if db == 0:
                 return True
-            r = a
             binv = inv[b[db]]
-            for i in range(len(r) - 1 - db, -1, -1):
-                c = r[db + i]
-                if c:
-                    qc = mul[c][binv]
-                    qrow = mul[qc]
-                    for j in range(db):
-                        bj = b[j]
-                        if bj:
-                            r[i + j] = add[r[i + j]][neg[qrow[bj]]]
-                    r[db + i] = 0
-            while r and r[-1] == 0:
-                r.pop()
-            if not r:
+            if len(a) == db + 2:
+                # one degree down: the quotient q1 x + q0 comes from a's top
+                # two coefficients, and r_j = a_j - q0 b_j - q1 b_(j-1)
+                q1 = mul[a[-1]][binv]
+                q0 = mul[add[a[-2]][neg[mul[q1][b[-2]]]]][binv]
+                m0 = mul[neg[q0]]
+                m1 = mul[neg[q1]]
+                a[0] = add[a[0]][m0[b[0]]]
+                for j in range(1, db):
+                    a[j] = add[add[a[j]][m0[b[j]]]][m1[b[j - 1]]]
+                del a[db:]
+            else:
+                for i in range(len(a) - 1 - db, -1, -1):
+                    c = a[db + i]
+                    if c:
+                        qrow = mul[mul[c][binv]]
+                        for j in range(db):
+                            bj = b[j]
+                            if bj:
+                                a[i + j] = add[a[i + j]][neg[qrow[bj]]]
+                        a[db + i] = 0
+            while a and a[-1] == 0:
+                a.pop()
+            if not a:
                 return False
-            a, b = b, r
+            a, b = b, a
 
     # -- matrices --
 
@@ -241,25 +281,27 @@ def matrix_rows(kappa, g, p):
 
 def _row1(kern, low, g):
     """Row 1 of the matrix from a list of f's low coefficients, f[:p] or a
-    prefix of it past which nothing changes f^((p-1)/2) below x^p.  Trims
-    trailing zeros off low in place."""
+    prefix of it past which nothing changes f^e below x^p, e = (p-1)/2.
+    With v low zeros, f^e below x^p is x^(ev) (f/x^v)^e below x^(p-ev),
+    and (f/x^v)^e comes from Miller's recurrence (``poly_pow_low``)."""
     p = kern.char
-    while low and low[-1] == 0:
-        low.pop()
-    kappa = kern.poly_pow_trunc(low, (p - 1) // 2, p) if low else []
-    n = len(kappa)
-    return [kappa[p - j] if 0 <= p - j < n else 0 for j in range(1, g + 1)]
+    e = (p - 1) // 2
+    v = 0
+    while v < len(low) and not low[v]:
+        v += 1
+    n = p - e * v
+    kappa = kern.poly_pow_low(low[v:], e, n) if v < len(low) and n > 0 else []
+    # row 1 reads f^e from x^(p-1) down, which is (f/x^v)^e from x^(n-1) down
+    return (kappa[::-1] + [0] * g)[:g]
 
 
 def _rowg(kern, high, g):
-    """Row g of the matrix from f's top (p+1)/2 coefficients, ascending."""
+    """Row g of the matrix from f's top (p+1)/2 coefficients, ascending.
+    Reversed, they start at f's leading coefficient, which is nonzero, and
+    the power of the reversal below x^(e+1) ends row g."""
     e = (kern.char - 1) // 2
-    kappa = kern.poly_pow_trunc(high[::-1], e, e + 1)
-    n = len(kappa)
-    shift = g - e
-    return [
-        kappa[j - shift] if 0 <= j - shift < n else 0 for j in range(1, g + 1)
-    ]
+    kappa = kern.poly_pow_low(high[::-1], e, e + 1)
+    return ([0] * g + kappa)[-g:]
 
 
 def end_rows(kern, f, g):
@@ -426,31 +468,33 @@ def _monic_irreducibles(kern, d, small):
 
 def _square_divides_rows(kern, h, f0, basis):
     """The linear system in c for h^2 | f0 + sum c_i b_i: one row
-    [b_1 .. b_n | -f0] per coefficient of the remainder mod h^2."""
+    (b_1 .. b_n | -f0) per coefficient of the remainder mod h^2."""
     add = kern.add
     mul = kern.mul
     neg = kern.neg
     hh = kern.poly_mul(h, h)
     m = len(hh) - 1
-    residues = []  # x^j mod h^2
-    r = [1] + [0] * (m - 1)
-    for _ in f0:
-        residues.append(r)
+    # x^j mod h^2 for j >= m; a polynomial below x^m is its own remainder, so
+    # each column starts from b[:m]
+    residues = []
+    r = [0] * (m - 1) + [1]
+    for _ in f0[m:]:
         top = r[-1]
         r = [0] + r[:-1]
         if top:
             t = mul[neg[top]]
             r = [add[x][t[y]] for x, y in zip(r, hh)]
+        residues.append(r)
     cols = []
     for b in [*basis, f0]:
-        col = [0] * m
-        for x, res in zip(b, residues):
+        col = b[:m]
+        for x, res in zip(b[m:], residues):
             if x:
                 mx = mul[x]
                 col = [add[c][mx[y]] for c, y in zip(col, res)]
         cols.append(col)
-    rhs = cols.pop()
-    return [[col[k] for col in cols] + [neg[rhs[k]]] for k in range(m)]
+    cols[-1] = [neg[x] for x in cols[-1]]
+    return list(zip(*cols))
 
 
 def _extend(kern, echelon, rows):

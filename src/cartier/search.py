@@ -64,10 +64,12 @@ _RANDOM_SHARD_SAMPLES = 100_000
 # divisor of _RANDOM_SHARD_SAMPLES, small enough that a few pieces per worker
 # balance even a 2 x 10^4-sample search
 _PIECE = 2_500
-# the candidates that repay one pool worker: on a 2-core host the pool's
-# import, start and teardown cost about 40-60 ms, and the per-candidate path
-# 15-40 us a candidate, so a worker needs on the order of 1 000 candidates
-# to pay for itself; a search of at most this many runs in this process
+# the candidates that repay one pool worker: on a 2-core Xeon host the
+# pool's import, start and teardown cost about 40-60 ms, and the
+# per-candidate path 20-30 us a candidate (kernel.scan_us_per_cand of
+# perfbench/run.py --trace 1 on script2-f49 and witness-heavy), so a worker
+# needs on the order of 1 000 candidates to pay for itself; a search of at
+# most this many runs in this process
 _WORKER_CANDIDATES = 1_000
 
 

@@ -61,46 +61,103 @@ def test_reducible_modulus_rejected():
         get_kernel(5, 2, (1, 0, 1))
 
 
-@pytest.mark.parametrize("p,k", FIELDS)
+def _check_curve_against_object_layer(kern, F, enc):
+    p = F.p
+    e = (p - 1) // 2
+    g = (len(enc) - 2) // 2
+    f = Poly.from_ints(F, enc)
+    assert kern.is_squarefree(list(enc)) == is_squarefree(f)
+
+    kappa = kern.poly_pow(list(enc), e) if e > 1 else list(enc)
+    assert kappa == [c.encoding for c in half_power(f).coeffs]
+
+    curve = make_curve(f)
+    m = cartier_matrix(curve)
+    rows = matrix_rows(kappa, g, p)
+    assert rows == [[x.encoding for x in row] for row in m.entries]
+    assert kern.rank([r[:] for r in rows]) == obj_rank(m)
+    assert kern.p_rank(rows, g) == obj_p_rank(curve)
+
+    # prefilter rows must be the true first and last matrix rows
+    r1, rg = end_rows(kern, list(enc), g)
+    assert r1 == rows[0], enc
+    assert rg == rows[-1], enc
+    # and a prefilter rejection must be a genuine rank >= 2 proof
+    if not rows_could_be_rank_le_1(kern, r1, rg):
+        assert obj_rank(m) >= 2
+
+
+@pytest.mark.parametrize("p,k", FIELDS + [(11, 1)])
 def test_kernel_matches_object_layer_on_random_curves(p, k):
     F = make_field(p, k)
-    e = (p - 1) // 2
     rng = random.Random(100 * p + k)
     kern = get_kernel(p, k, F.modulus)
     for _ in range(150):
         deg = rng.choice([3, 5, 7, 9])
-        g = (deg - 1) // 2
         enc = [rng.randrange(F.order) for _ in range(deg)] + [
             rng.randrange(1, F.order)
         ]
-        f = Poly.from_ints(F, enc)
-        assert kern.is_squarefree(list(enc)) == is_squarefree(f)
-
-        kappa = kern.poly_pow(list(enc), e) if e > 1 else list(enc)
-        assert kappa == [c.encoding for c in half_power(f).coeffs]
-
-        curve = make_curve(f)
-        m = cartier_matrix(curve)
-        rows = matrix_rows(kappa, g, p)
-        assert rows == [[x.encoding for x in row] for row in m.entries]
-        assert kern.rank([r[:] for r in rows]) == obj_rank(m)
-        assert kern.p_rank(rows, g) == obj_p_rank(curve)
-
-        # prefilter rows must be the true first and last matrix rows
-        r1, rg = end_rows(kern, list(enc), g)
-        assert r1 == rows[0]
-        assert rg == rows[-1]
-        # and a prefilter rejection must be a genuine rank >= 2 proof
-        if not rows_could_be_rank_le_1(kern, r1, rg):
-            assert obj_rank(m) >= 2
+        _check_curve_against_object_layer(kern, F, enc)
+    # v low zeros, where row 1 is x^(ev) (f/x^v)^e below x^p: f[0] = 0,
+    # f[0] = f[1] = 0, f[:3] = 0 and f[:p] = 0 (degree p + 2 reaches past
+    # x^p).  At p = 11, e = 5, so row 1 is zero once v >= 3
+    for v in [1, 2, 3, p]:
+        for _ in range(20):
+            deg = rng.choice([d for d in [3, 5, 7, 9, p + 2] if d > v])
+            enc = [0] * v + [rng.randrange(F.order) for _ in range(deg - v)] + [
+                rng.randrange(1, F.order)
+            ]
+            _check_curve_against_object_layer(kern, F, enc)
 
 
-def test_kernel_exhaustive_over_f3_degree5():
-    F = make_field(3)
-    kern = get_kernel(3, 1, F.modulus)
-    for cs in itertools.product(range(3), repeat=5):
+@pytest.mark.parametrize(
+    "p,k", [(3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (3, 2), (5, 2), (3, 3), (7, 2)]
+)
+def test_poly_pow_low_matches_object_layer(p, k):
+    # Miller's recurrence against Poly ** e below x^n, for every n <= p, with
+    # a[0] != 0 and a both shorter and longer than n
+    F = make_field(p, k)
+    kern = get_kernel(p, k, F.modulus)
+    rng = random.Random(7 * p + k)
+    for n in range(1, p + 1):
+        for length in range(1, p + 3):
+            a = [rng.randrange(1, F.order)] + [
+                rng.randrange(F.order) for _ in range(length - 1)
+            ]
+            for e in {1, 2, (p - 1) // 2, rng.randrange(1, 9)}:
+                expected = _encodings(Poly.from_ints(F, a) ** e, n)
+                assert kern.poly_pow_low(a, e, n) == expected, (a, e, n)
+
+
+@pytest.mark.parametrize(
+    "p, k, degree",
+    # at p | deg f, f' drops two or more degrees below f, so the first Euclid
+    # step divides by more than one degree
+    [(3, 1, 5), (3, 1, 6), (5, 1, 5), (3, 2, 3)],
+)
+def test_kernel_squarefree_exhaustive(p, k, degree):
+    F = make_field(p, k)
+    kern = get_kernel(p, k, F.modulus)
+    for cs in itertools.product(range(F.order), repeat=degree):
         enc = [*cs, 1]
         f = Poly.from_ints(F, enc)
+        assert kern.is_squarefree(list(enc)) == is_squarefree(f), enc
+
+
+def test_kernel_squarefree_on_square_multiples_over_f49():
+    # h^2 w is never squarefree, and a remainder of its Euclid sequence can
+    # drop two or more degrees anywhere
+    F = make_field(7, 2)
+    kern = get_kernel(7, 2, F.modulus)
+    rng = random.Random(49)
+    for _ in range(400):
+        h = [rng.randrange(F.order) for _ in range(rng.randrange(1, 4))] + [1]
+        w = [rng.randrange(F.order) for _ in range(rng.randrange(0, 6))] + [
+            rng.randrange(1, F.order)
+        ]
+        enc = kern.poly_mul(kern.poly_mul(h, h), w)
+        f = Poly.from_ints(F, enc)
+        assert not is_squarefree(f)
         assert kern.is_squarefree(list(enc)) == is_squarefree(f), enc
 
 
@@ -275,6 +332,21 @@ def test_sieve_matches_per_candidate_count(p, k, degree, fixed, free, factor, ex
     assert count == _per_candidate_squarefree(spec)
     if expected is not None:
         assert count == expected
+
+
+def test_sieve_matches_object_layer_count():
+    # the degree-9 x(x-1)h family over F_7 (7^4 members) against the object
+    # layer's squarefree test, which shares no code with the sieve or scan
+    spec = _family(7, 1, 9, {0: 3, 1: 0, 2: 5, 7: 1}, (3, 4, 5, 6), "0,6,1")
+    F = spec.field
+    f0, basis = _affine_form(spec)
+    count = 0
+    for cs in itertools.product(list(enumerate_field(F)), repeat=len(basis)):
+        f = Poly.from_ints(F, f0)
+        for c, b in zip(cs, basis):
+            f = f + Poly.from_ints(F, b) * c
+        count += is_squarefree(f)
+    assert _sieve(spec) == count
 
 
 def _monic_squarefree_off_x(q, n):
