@@ -21,8 +21,8 @@ g-1) with the prefilter on, survivors of ``rank_one_survivors``.  That join
 runs once per search: the family is affine, f = f0 + sum c_i b_i, so it
 matches the assignments of the coefficients row 1 reads with those row g
 reads on the projective class of the row.  The family's squarefree count
-then comes from ``squarefree_count``, a Moebius sieve over F_q[x] that
-enumerates no candidate.  Checking every candidate stays the oracle.
+then comes from ``squarefree_count``, a Moebius sieve over F_q[x] with one
+linear system per square h^2.  Checking every candidate stays the oracle.
 
 The object layer in fields/poly/invariants is the reference implementation.
 Everything here is cross-checked against it by the test suite, and every
@@ -33,6 +33,7 @@ enters a report.
 from __future__ import annotations
 
 import itertools
+import operator
 
 from .fields import FieldElement, FieldSpec
 
@@ -113,7 +114,7 @@ class TableKernel:
         return self.poly_pow_trunc(a, e, (len(a) - 1) * e + 1)
 
     def poly_pow_trunc(self, a, e, n):
-        result = a[:n]
+        result = a[:n] if e else [1][:n]
         for bit in bin(e)[3:]:
             result = self.poly_mul_trunc(result, result, n)
             if bit == "1":
@@ -194,7 +195,7 @@ class TableKernel:
     # -- matrices --
 
     def rank(self, rows):
-        """Rank by Gaussian elimination; mutates rows."""
+        """Rank by Gaussian elimination in place: rows[:rank] end in echelon form."""
         add = self.add
         mul = self.mul
         neg = self.neg
@@ -216,13 +217,12 @@ class TableKernel:
             for i in range(r + 1, m):
                 c = rows[i][col]
                 if c:
-                    factor = mul[c][pinv]
-                    frow = mul[factor]
+                    nrow = mul[neg[mul[c][pinv]]]
                     row = rows[i]
                     for j in range(col, n):
                         pj = prow[j]
                         if pj:
-                            row[j] = add[row[j]][neg[frow[pj]]]
+                            row[j] = add[row[j]][nrow[pj]]
             r += 1
             if r == m:
                 break
@@ -351,7 +351,7 @@ def _combine(kern, base, terms, lo, hi):
     return out
 
 
-def rank_one_survivors(kern, f0, basis, free):
+def rank_one_survivors(kern, f0, basis, free, require_smooth=False):
     """The assignments of f = f0 + sum c_i b_i (i in ``free``, ascending,
     ``basis`` aligned) whose matrix rows 1 and g are proportional (a zero
     row is proportional to every row), which rank <= 1 forces.  They come in
@@ -365,7 +365,9 @@ def rank_one_survivors(kern, f0, basis, free):
     window.  The top slot is the outermost loop, then slots both rows read.
     Slots only row 1 reads are bucketed by the class of row 1, once per
     window of f it reads, slots only row g reads by the class of row g, and
-    slots neither reads are enumerated for each joined pair only.
+    slots neither reads are enumerated for each joined pair only.  Row 1's
+    window holds f[:2], so under ``require_smooth`` a row-1 assignment that
+    leaves f[0] = f[1] = 0 is dropped: x^2 divides every completion.
     """
     q = kern.q
     e = (kern.char - 1) // 2
@@ -401,6 +403,8 @@ def rank_one_survivors(kern, f0, basis, free):
         found: dict = {}
         for vals, n in assignments(key):
             window = _combine(kern, base, terms(key, vals), lo, hi)
+            if key == "row1" and require_smooth and not (window[0] or window[1]):
+                continue
             found.setdefault(_class_key(kern, row(kern, window, g)), []).append(n)
         return found
 
@@ -436,139 +440,135 @@ def rank_one_survivors(kern, f0, basis, free):
 # exact squarefree count of an affine family
 
 
-def _monic_index(h, q):
-    """Position of a monic polynomial among those of its degree (base q,
-    constant term lowest)."""
-    idx = 0
-    for c in reversed(h[:-1]):
-        idx = idx * q + c
-    return idx
-
-
-def _monic_irreducibles(kern, d, small):
-    """The monic irreducibles of degree d as coefficient lists, constant
-    term first; small must hold every monic irreducible of degree <= d // 2,
-    in ascending degree."""
+def _irreducibles(kern, top):
+    """The monic irreducibles of degree d = 1 .. top, one iterator per
+    degree, ascending by index sum c_i q^i (i < d).  One pass per degree
+    fills a bytearray of each monic's least irreducible-factor degree:
+    linear factors by evaluating every monic at each r in F_q, Horner over
+    the index digits in bulk, and a factor of degree k >= 2 from the
+    products a b with a irreducible of degree k and b free of factors below
+    degree k."""
     q = kern.q
-    reducible = bytearray(q**d)
-    for a in small:
-        da = len(a) - 1
-        if 2 * da > d:
-            break
-        for low in itertools.product(range(q), repeat=d - da):
-            reducible[_monic_index(kern.poly_mul(a, [*low, 1]), q)] = 1
-    for idx, hit in enumerate(reducible):
-        if not hit:
-            h = []
-            for _ in range(d):
-                idx, c = divmod(idx, q)
-                h.append(c)
-            yield h + [1]
-
-
-def _square_divides_rows(kern, h, f0, basis):
-    """The linear system in c for h^2 | f0 + sum c_i b_i: one row
-    (b_1 .. b_n | -f0) per coefficient of the remainder mod h^2."""
     add = kern.add
     mul = kern.mul
-    neg = kern.neg
-    hh = kern.poly_mul(h, h)
-    m = len(hh) - 1
-    # x^j mod h^2 for j >= m; a polynomial below x^m is its own remainder, so
-    # each column starts from b[:m]
-    residues = []
-    r = [0] * (m - 1) + [1]
-    for _ in f0[m:]:
-        top = r[-1]
-        r = [0] + r[:-1]
-        if top:
-            t = mul[neg[top]]
-            r = [add[x][t[y]] for x, y in zip(r, hh)]
-        residues.append(r)
-    cols = []
-    for b in [*basis, f0]:
-        col = b[:m]
-        for x, res in zip(b[m:], residues):
-            if x:
-                mx = mul[x]
-                col = [add[c][mx[y]] for c, y in zip(col, res)]
-        cols.append(col)
-    cols[-1] = [neg[x] for x in cols[-1]]
-    return list(zip(*cols))
+    powers = [q**i for i in range(top)]
+
+    def monics(d, k):
+        # the monic polynomials of degree d free of factors below degree k
+        free = least[d].translate(bytes(v >= k for v in range(256)))
+        lows = itertools.compress(itertools.product(range(q), repeat=d), free)
+        return ([*low[::-1], 1] for low in lows)
+
+    least = [b""]  # per degree
+    for d in range(1, top + 1):
+        found = bytearray(q**d)
+        for r in range(q):
+            mr = mul[r]
+            vals = [1]
+            for _ in range(d):  # h = x h' + c, so h(r) = r h'(r) + c
+                vals = [x for v in vals for x in add[mr[v]]]
+            for i in itertools.compress(range(q**d), map(operator.not_, vals)):
+                found[i] = 1
+        for k in range(2, d // 2 + 1):
+            bs = list(monics(d - k, k))
+            for a in monics(k, k):  # the irreducibles of degree k
+                for b in bs:
+                    found[sum(map(operator.mul, kern.poly_mul(a, b), powers[:d]))] = k
+        least.append(found.replace(b"\0", bytes([d])))  # unmarked: irreducible
+        yield monics(d, d)
 
 
-def _extend(kern, echelon, rows):
-    """echelon (pairs of pivot column and row, pivot 1, zeros at earlier
-    pivots) with rows added, or None if the system became inconsistent."""
+def _annihilator(kern, f0, basis):
+    """The functionals lam vanishing on every b_i (b_i ending at ascending
+    indices): one per index t0 no b_i ends at, 1 there and 0 at the others,
+    as (t0, its other nonzero (index, value) entries, lam(f0)).  With no
+    factor, they read the fixed coefficients."""
     add = kern.add
     mul = kern.mul
-    neg = kern.neg
-    echelon = list(echelon)
-    for row in rows:
-        row = list(row)
-        for pc, prow in echelon:
-            c = row[pc]
-            if c:
-                m = mul[neg[c]]
-                for k in range(pc, len(row)):
-                    if prow[k]:
-                        row[k] = add[row[k]][m[prow[k]]]
-        pc = next((k for k, x in enumerate(row[:-1]) if x), None)
-        if pc is None:
-            if row[-1]:
-                return None
-            continue
-        scale = mul[kern.inv[row[pc]]]
-        echelon.append((pc, [scale[x] for x in row]))
-    return echelon
+
+    def dot(u, w):
+        acc = 0
+        for x, y in zip(u, w):
+            if x and y:
+                acc = add[acc][mul[x][y]]
+        return acc
+
+    ends = [max(j for j, x in enumerate(b) if x) for b in basis]
+    out = []
+    for t0 in sorted(set(range(len(f0))) - set(ends)):
+        lam = [0] * len(f0)
+        lam[t0] = 1
+        for b, t in zip(basis, ends):  # lam is 0 from t on
+            lam[t] = mul[kern.neg[dot(lam, b)]][kern.inv[b[t]]]
+        target = dot(lam, f0)
+        lam[t0] = 0
+        out.append((t0, [(t, v) for t, v in enumerate(lam) if v], target))
+    return out
 
 
 def squarefree_count(kern, f0, basis):
     """#{c in F_q^n : f0 + sum c_i b_i is squarefree}, exactly, without
-    enumerating c.  f0 must have exact degree len(f0) - 1.
+    enumerating c.  f0 has exact degree D = len(f0) - 1.
 
     Moebius over F_q[x] (Rosen, Number Theory in Function Fields, ch. 2):
-    the count is the sum over monic h with h^2 | f possible (2 deg h <=
-    deg f) of mu(h) * #{c : h^2 | f(c)}, and each term is a linear system
-    over F_q with q^(n - rank) solutions or none.  Only squarefree h count
-    (mu = 0 otherwise), so a depth-first walk builds each product of
-    distinct irreducibles once, from its largest factor down, adds one
-    irreducible's rows per step, gets mu from the depth, and drops an
-    inconsistent h together with every multiple of it.  It visits at most
-    as many h as there are monic polynomials of degree <= deg f / 2.
+    the count is the sum over monic h with 2 deg h <= D of mu(h) *
+    #{c : h^2 | f(c)}.  With lam_1 .. lam_s the functionals vanishing on
+    every b_i (``_annihilator``, s = D + 1 - n), f = h^2 r is in the family
+    exactly when lam_k(h^2 r) = lam_k(f0) for every k: s equations in the
+    D - 2 deg h + 1 coefficients of r, read off h^2, with q^(columns - rank)
+    solutions or none.  A depth-first walk builds each squarefree h once,
+    from its largest irreducible factor down, and h^2 with one product per
+    step; mu comes from the depth, and an inconsistent h drops every
+    multiple of it.
     """
     q = kern.q
-    n = len(basis)
-    top = (len(f0) - 1) // 2
-    small = []  # (degree, rows) of the irreducibles h with 2 deg h <= top
-    total = q**n
+    add = kern.add
+    mul = kern.mul
+    poly_mul = kern.poly_mul
+    degree = len(f0) - 1
+    top = degree // 2
+    system = _annihilator(kern, f0, basis)
 
-    def walk(limit, budget, echelon, sign):
-        # products of echelon's h with distinct small[j], j < limit
+    def solutions(hh):
+        # #{c : hh | f(c)}, or 0.  Row k reads lam_k(hh x^j), j < cols, and
+        # (hh x^j)_t = hh[t - j] is padded[degree + 1 - t + j]
+        cols = degree + 2 - len(hh)
+        padded = [0] * cols + hh[::-1] + [0] * cols
+        rows = []
+        for t0, terms, target in system:
+            row = padded[degree + 1 - t0 : degree + 1 - t0 + cols]
+            for t, v in terms:
+                mv = mul[v]
+                row = [add[x][mv[y]] for x, y in zip(row, padded[degree + 1 - t :])]
+            rows.append(row + [target])
+        # rank leaves rows in echelon form: the system has no solution when
+        # the last pivot row is zero but for its target
+        rank = kern.rank(rows)
+        return 0 if rank and not any(rows[rank - 1][:-1]) else q ** (cols - rank)
+
+    def walk(limit, budget, hh, sign):
+        # products of hh's h with distinct small[j], j < limit
         acc = 0
         for j in range(limit):
-            d, rows = small[j]
+            d, sq = small[j]
             if d > budget:
                 break
-            ext = _extend(kern, echelon, rows)
-            if ext is not None:
-                acc += sign * q ** (n - len(ext)) + walk(j, budget - d, ext, -sign)
+            prod = poly_mul(sq, hh)
+            n = solutions(prod)
+            if n:
+                acc += sign * n + walk(j, budget - d, prod, -sign)
         return acc
 
-    irreducibles = []  # the polynomials of small, which sieve higher degrees
-    for d in range(1, top + 1):
-        extends = 2 * d <= top
-        found = []
-        for h in _monic_irreducibles(kern, d, irreducibles):
-            rows = _square_divides_rows(kern, h, f0, basis)
-            if extends:
-                found.append(h)
-                small.append((d, rows))
-            ech = _extend(kern, [], rows)
-            if ech is not None:
-                limit = len(small) - 1 if extends else len(small)
-                total += walk(limit, top - d, ech, 1) - q ** (n - len(ech))
-        irreducibles += found
+    small = []  # (degree, h^2) of the irreducibles h with 2 deg h <= top
+    total = q ** len(basis)
+    for d, hs in enumerate(_irreducibles(kern, top), 1):
+        for h in hs:
+            hh = poly_mul(h, h)
+            n = solutions(hh)
+            if n:
+                total += walk(len(small), top - d, hh, 1) - n
+            if 2 * d <= top:
+                small.append((d, hh))
     return total
 
 

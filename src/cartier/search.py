@@ -351,7 +351,9 @@ def _make_tasks(spec: SearchSpec, budget: int) -> list[dict]:
         # the join's survivors in enumeration order, each the little-endian
         # bytes of its values; a piece joins _PIECE of them
         kern = _kernel.get_kernel(spec.field.p, spec.field.k, spec.field.modulus)
-        rows = _kernel.rank_one_survivors(kern, *_affine_form(spec), spec.free)
+        rows = _kernel.rank_one_survivors(
+            kern, *_affine_form(spec), spec.free, spec.require_smooth
+        )
         pieces = []
         while chunk := b"".join(islice(rows, _PIECE)):
             pieces.append(array(typecode, chunk))

@@ -22,6 +22,7 @@ from cartier import (
     run_search,
 )
 from cartier._kernel import (
+    _irreducibles,
     end_rows,
     get_kernel,
     matrix_rows,
@@ -179,6 +180,8 @@ def test_kernel_products_match_object_layer(p, k):
             pa**e, min(n, e * (len(a) - 1) + 1)
         )
         assert kern.poly_pow(a, e) == _encodings(pa**e, e * (len(a) - 1) + 1)
+        # a^0 = 1 for every a, the zero polynomial too
+        assert kern.poly_pow_trunc(a, 0, n) == kern.poly_pow(a, 0) == [1]
 
 
 def test_scan_counts_match_object_brute_force():
@@ -204,6 +207,36 @@ def test_scan_counts_match_object_brute_force():
         assert _sieve(spec) == n_sq
 
 
+def _check_join(p, k, degree, fixed, free, factor, survivors, smooth):
+    # the whole family's survivors, in enumeration order (top coefficient
+    # first, lowest fastest), against a filter of the whole family by the
+    # per-candidate end-row test, less x^2 | f when only smooth members count
+    spec = _family(p, k, degree, fixed, free, factor)
+    kern = get_kernel(p, k, spec.field.modulus)
+    factor = [c.encoding for c in spec.factor.coeffs] if factor else None
+    u = [0] * (spec.cofactor_degree + 1)
+    for idx, el in spec.fixed.items():
+        u[idx] = el.encoding
+    expected = []
+    skipped = 0
+    for top_first in itertools.product(range(kern.q), repeat=len(free)):
+        for i, v in zip(free[::-1], top_first):
+            u[i] = v
+        f = kern.poly_mul(factor, u) if factor else u
+        if rows_could_be_rank_le_1(kern, *end_rows(kern, f, spec.genus)):
+            if smooth and not (f[0] or f[1]):
+                skipped += 1
+            else:
+                expected.append(top_first[::-1])
+    # one byte a value below q = 256
+    rows = rank_one_survivors(kern, *_affine_form(spec), free, smooth)
+    found = [tuple(row) for row in rows]
+    assert found == expected
+    if survivors is not None:
+        assert len(found) == survivors
+    return found, skipped
+
+
 @pytest.mark.parametrize(
     "p, k, degree, fixed, free, factor, survivors",
     [
@@ -221,29 +254,30 @@ def test_scan_counts_match_object_brute_force():
 def test_join_survivors_are_the_proportional_end_rows(
     p, k, degree, fixed, free, factor, survivors
 ):
-    # the whole family's survivors, in enumeration order (top coefficient
-    # first, lowest fastest), against a filter of the whole family by the
-    # per-candidate end-row test
-    spec = _family(p, k, degree, fixed, free, factor)
-    kern = get_kernel(p, k, spec.field.modulus)
-    factor = [c.encoding for c in spec.factor.coeffs] if factor else None
-    u = [0] * (spec.cofactor_degree + 1)
-    for idx, el in spec.fixed.items():
-        u[idx] = el.encoding
-    expected = []
-    for top_first in itertools.product(range(kern.q), repeat=len(free)):
-        for i, v in zip(free[::-1], top_first):
-            u[i] = v
-        f = kern.poly_mul(factor, u) if factor else u
-        if rows_could_be_rank_le_1(kern, *end_rows(kern, f, spec.genus)):
-            expected.append(top_first[::-1])
-    # one byte a value below q = 256
-    rows = rank_one_survivors(kern, *_affine_form(spec), free)
-    found = [tuple(row) for row in rows]
-    assert found == expected
+    found, _ = _check_join(p, k, degree, fixed, free, factor, survivors, False)
     assert found
-    if survivors is not None:
-        assert len(found) == survivors
+
+
+@pytest.mark.parametrize(
+    "p, k, degree, fixed, free, factor, survivors",
+    [
+        # g = 6 over F_5 and g = 5 over F_7 with the top value c12 or c10
+        # pinned; over F_5 (g >= p, where Theorem 1 leaves no rank-one curve)
+        # no member off x^2 | f has proportional end rows
+        (5, 1, 13, {0: 0, 4: 1, 6: 0, 8: 3, 10: 1, 12: 2, 13: 1},
+         (1, 2, 3, 5, 7, 9, 11), None, 0),
+        (7, 1, 11, {0: 0, 4: 1, 6: 2, 7: 0, 10: 3, 11: 1},
+         (1, 2, 3, 5, 8, 9), None, 35),
+        # c1 free below a fixed c2
+        (7, 1, 7, {0: 0, 2: 3, 3: 1, 7: 1}, (1, 4, 5, 6), None, None),
+    ],
+)
+def test_join_survivors_skip_x2_under_require_smooth(
+    p, k, degree, fixed, free, factor, survivors
+):
+    # the same filter less the members x^2 divides, of which there are some
+    _, skipped = _check_join(p, k, degree, fixed, free, factor, survivors, True)
+    assert skipped
 
 
 def test_join_rows_take_two_bytes_a_value_past_256():
@@ -324,6 +358,11 @@ def _family(p, k, degree, fixed, free, factor=None):
         # F_9 with a fixed factor, and F_25
         (3, 2, 7, {0: 1, 4: 2, 5: 1}, (1, 2, 3), "0,1,1", None),
         (5, 2, 5, {0: 0, 1: 1, 5: 1}, (2, 3, 4), None, None),
+        # a factor with coefficients outside F_3: two of the four functionals
+        # that cut out the family have five nonzero entries each
+        (3, 2, 7, {0: 1, 5: 1}, (1, 2, 3, 4), "[1,1],[0,1],1", None),
+        # free coefficients with fixed ones between them, over F_5
+        (5, 1, 9, {0: 0, 2: 1, 4: 3, 6: 0, 9: 1}, (1, 3, 5, 7, 8), None, None),
     ],
 )
 def test_sieve_matches_per_candidate_count(p, k, degree, fixed, free, factor, expected):
@@ -335,18 +374,22 @@ def test_sieve_matches_per_candidate_count(p, k, degree, fixed, free, factor, ex
 
 
 def test_sieve_matches_object_layer_count():
-    # the degree-9 x(x-1)h family over F_7 (7^4 members) against the object
-    # layer's squarefree test, which shares no code with the sieve or scan
-    spec = _family(7, 1, 9, {0: 3, 1: 0, 2: 5, 7: 1}, (3, 4, 5, 6), "0,6,1")
-    F = spec.field
-    f0, basis = _affine_form(spec)
-    count = 0
-    for cs in itertools.product(list(enumerate_field(F)), repeat=len(basis)):
-        f = Poly.from_ints(F, f0)
-        for c, b in zip(cs, basis):
-            f = f + Poly.from_ints(F, b) * c
-        count += is_squarefree(f)
-    assert _sieve(spec) == count
+    # the degree-9 x(x-1)h family over F_7 (7^4 members) and an F_9 family
+    # whose functionals are dense (9^3) against the object layer's
+    # squarefree test, which shares no code with the sieve or scan
+    for spec in [
+        _family(7, 1, 9, {0: 3, 1: 0, 2: 5, 7: 1}, (3, 4, 5, 6), "0,6,1"),
+        _family(3, 2, 7, {0: 1, 4: 2, 5: 1}, (1, 2, 3), "[1,1],[0,1],1"),
+    ]:
+        F = spec.field
+        f0, basis = _affine_form(spec)
+        count = 0
+        for cs in itertools.product(list(enumerate_field(F)), repeat=len(basis)):
+            f = Poly.from_ints(F, f0)
+            for c, b in zip(cs, basis):
+                f = f + Poly.from_ints(F, b) * c
+            count += is_squarefree(f)
+        assert _sieve(spec) == count
 
 
 def _monic_squarefree_off_x(q, n):
@@ -361,12 +404,50 @@ def _monic_squarefree_off_x(q, n):
 
 @pytest.mark.parametrize(
     "p, k, genus, expected",
-    [(3, 1, 2, 40), (5, 1, 3, None), (3, 2, 3, None), (7, 1, 4, 4323600)],
+    [
+        (3, 1, 2, 40),
+        (5, 1, 3, None),
+        (3, 2, 3, None),
+        (7, 1, 4, 4323600),
+        (7, 1, 5, 211856436),
+        (5, 1, 6, 162760416),
+        (3, 1, 8, 21523360),
+    ],
 )
 def test_sieve_matches_closed_form(p, k, genus, expected):
     # f = x h with h monic of degree 2g: f is squarefree iff h is and h(0) != 0;
-    # 7^8 is the script-1 family
+    # 7^8 is the script-1 family, 7^10 criterion 8's, and 5^12 and 3^16 are
+    # Theorem 1's at g = 6 and g = 8
     spec = monic_odd_family(make_field(p, k), genus)
     count = _monic_squarefree_off_x(p**k, 2 * genus)
     assert _sieve(spec) == count
     assert expected in (None, count)
+
+
+def _moebius(n):
+    sign = 1
+    for p in range(2, n + 1):
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+    return sign
+
+
+@pytest.mark.parametrize(
+    "p, k, top", [(3, 1, 8), (5, 1, 6), (7, 1, 5), (3, 2, 4), (5, 2, 4), (7, 2, 3)]
+)
+def test_irreducible_counts_match_gauss(p, k, top):
+    # Gauss's count of the monic irreducibles of degree d over F_q,
+    # (1/d) sum_{e | d} mu(d/e) q^e, which shares no code with the sieve
+    q = p**k
+    kern = get_kernel(p, k, make_field(p, k).modulus)
+    found = [list(hs) for hs in _irreducibles(kern, top)]
+    for d, hs in enumerate(found, 1):
+        gauss = sum(_moebius(d // e) * q**e for e in range(1, d + 1) if d % e == 0)
+        assert len(hs) * d == gauss, (q, d)
+        assert all(len(h) == d + 1 and h[-1] == 1 for h in hs)
+        index = [sum(c * q**i for i, c in enumerate(h[:-1])) for h in hs]
+        assert index == sorted(set(index))
+    assert len(found) == top

@@ -105,6 +105,30 @@ class TestPrefilter:
             w.fragment() for w in off.witnesses
         ]
 
+    @staticmethod
+    def _rank_one_report(p, genus, fixed, free, factor, require_smooth, limit):
+        # the end-row join and the sieve against the per-candidate path: the
+        # whole report, at one and two threads; only the echoed flag differs
+        F = make_field(p)
+        spec = SearchSpec(
+            field=F,
+            degree=2 * genus + 1,
+            fixed={i: F.element(v) for i, v in fixed.items()},
+            target_a=genus - 1,
+            require_smooth=require_smooth,
+            collect_limit=limit,
+            factor=parse_poly(F, factor) if factor else None,
+        )
+        assert spec.free == free
+        off = dataclasses.replace(spec, prefilter=False)
+        assert _takes_rank_one_path(spec) and not _takes_rank_one_path(off)
+        expected = run_search(off, threads=2).to_dict()
+        expected["spec"]["prefilter"] = True
+        for threads in (1, 2):
+            doc = run_search(spec, threads=threads).to_dict()
+            assert json.dumps(doc) == json.dumps(expected)
+        return expected
+
     @pytest.mark.parametrize(
         "p, genus, fixed, free, factor, require_smooth, limit",
         [
@@ -125,27 +149,23 @@ class TestPrefilter:
     def test_rank_one_path_report_identical(
         self, p, genus, fixed, free, factor, require_smooth, limit
     ):
-        # the end-row join and the sieve against the per-candidate path: the
-        # whole report, at one and two threads; only the echoed flag differs
-        F = make_field(p)
-        spec = SearchSpec(
-            field=F,
-            degree=2 * genus + 1,
-            fixed={i: F.element(v) for i, v in fixed.items()},
-            target_a=genus - 1,
-            require_smooth=require_smooth,
-            collect_limit=limit,
-            factor=parse_poly(F, factor) if factor else None,
-        )
-        assert spec.free == free
-        off = dataclasses.replace(spec, prefilter=False)
-        assert _takes_rank_one_path(spec) and not _takes_rank_one_path(off)
-        expected = run_search(off).to_dict()
-        assert expected["matched"] > 0
-        expected["spec"]["prefilter"] = True
-        for threads in (1, 2):
-            doc = run_search(spec, threads=threads).to_dict()
-            assert json.dumps(doc) == json.dumps(expected)
+        args = (p, genus, fixed, free, factor, require_smooth, limit)
+        assert self._rank_one_report(*args)["matched"] > 0
+
+    @pytest.mark.parametrize(
+        "p, genus, fixed, free",
+        [
+            # the smooth families on which the join skips x^2 | f: g = 6 over
+            # F_5, where no assignment survives, and g = 5 over F_7 (35 do)
+            (5, 6, {0: 0, 4: 1, 6: 0, 8: 3, 10: 1, 12: 2, 13: 1},
+             (1, 2, 3, 5, 7, 9, 11)),
+            (7, 5, {0: 0, 4: 1, 6: 2, 7: 0, 10: 3, 11: 1}, (1, 2, 3, 5, 8, 9)),
+        ],
+    )
+    def test_rank_one_path_report_identical_when_smooth(self, p, genus, fixed, free):
+        doc = self._rank_one_report(p, genus, fixed, free, None, True, 10)
+        assert doc["matched"] == 0
+        assert doc["counts"]["squarefree"] > 0
 
 
 class TestDeterminism:
@@ -255,7 +275,7 @@ class TestRandomMode:
         # sizes, then the assignments checked, enumerated, matched, shards
         cases = [
             (random_spec, (1, 3, 7, 40, 2500), (40, 40, 20, 1)),
-            (rank_one_spec, (1, 3, 7, 2500), (439, 7**4, 252, 7)),
+            (rank_one_spec, (1, 3, 7, 2500), (354, 7**4, 252, 7)),
         ]
         for spec, sizes, (checked, enumerated, matched, shards) in cases:
             docs = set()
