@@ -9,11 +9,17 @@ logs of a generator of F_q^*), so fields are capped at
 ``TableKernel.MAX_ORDER`` elements.
 
 ``scan`` tests each candidate of a task: squarefree gcd, the rank-one
-prefilter on rows 1 and g, then the full half power, rank and p-rank.  Rows
-1 and g need f^e (e = (p-1)/2) below x^p and the power of f's reversal below
+prefilter on rows 1 and g, then the full half power, rank and p-rank.  With
+a fixed factor F, f = F u is squarefree exactly when F and the cofactor u
+are and gcd(F, u) = 1, so ``squarefree_test`` checks u against F's roots
+and the rest of F and never forms f for a candidate that fails.  Rows 1 and
+g need f^e (e = (p-1)/2) below x^p and the power of f's reversal below
 x^(e+1).  Both come from Miller's power-series recurrence, which divides
 only by m < p and so is exact in characteristic p; row 1 first shifts out
 f's low zeros, so that the series it expands starts at a unit.
+``end_rows_rank_le_1`` computes row g, then row 1 from its last column
+down, and stops at the first nonzero 2x2 minor; ``end_rows`` and
+``rows_could_be_rank_le_1`` are its reference.
 
 A task is a top-coefficient shard of an exhaustive search or a piece of
 assignments: random draws or, for an exhaustive search for rank one (a =
@@ -150,17 +156,20 @@ class TableKernel:
         """gcd(f, f') constant and f' nonzero; f must have exact degree
         len(f)-1 >= 1 (nonzero leading encoding)."""
         p = self.char
+        mul = self.mul
+        d = [mul[i % p][f[i]] for i in range(1, len(f))]
+        while d and d[-1] == 0:
+            d.pop()
+        return bool(d) and self.coprime(list(f), d)
+
+    def coprime(self, a, b):
+        """gcd(a, b) constant, for a and b with nonzero last entries; both
+        lists are overwritten (Euclid's algorithm)."""
         add = self.add
         mul = self.mul
         neg = self.neg
         inv = self.inv
-        d = [mul[i % p][f[i]] for i in range(1, len(f))]
-        while d and d[-1] == 0:
-            d.pop()
-        if not d:
-            return False
-        a, b = list(f), d  # each step overwrites a with a mod b, in place
-        while True:
+        while True:  # each step overwrites a with a mod b, in place
             db = len(b) - 1
             if db == 0:
                 return True
@@ -330,6 +339,89 @@ def rows_could_be_rank_le_1(kern, r1, rg):
     return True
 
 
+def end_rows_rank_le_1(kern, f, g):
+    """``rows_could_be_rank_le_1(kern, *end_rows(kern, f, g))``, stopping at
+    the first nonzero 2x2 minor.  Row g comes first; with j its last nonzero
+    column, row 1 is proportional to it exactly when row 1 is zero past j
+    and r1_j rg_i = rg_j r1_i below j.  Row 1 reads Miller's series from its
+    last column down, so the series up to column j - 1 decides the first
+    minor below j, and the rest is expanded only when that minor vanishes."""
+    p = kern.char
+    e = (p - 1) // 2
+    rg = _rowg(kern, f[-(e + 1) :], g)
+    j = g - 1
+    while j >= 0 and not rg[j]:
+        j -= 1
+    v = 0  # f's low zeros; f[v] is nonzero or v = p
+    while v < p and not f[v]:
+        v += 1
+    n = p - e * v  # row 1 holds (f/x^v)^e's c_m at column n - 1 - m
+    if j < 0 or n <= 0:
+        return True  # a zero row
+    mul = kern.mul
+    scale_g = mul[rg[j]]
+    length = min(n, max(1, n - j + 1))
+    while True:
+        scale_1 = mul[0]  # times r1_j, once column j is reached
+        col = n
+        for c in kern.poly_pow_low(f[v:p], e, length):
+            col -= 1
+            if col > j:
+                if c and col < g:
+                    return False
+            elif col == j:
+                scale_1 = mul[c]
+            elif scale_g[c] != scale_1[rg[col]]:
+                return False
+        if length == n:
+            return True
+        length = n
+
+
+def squarefree_test(kern, factor):
+    """A test of the cofactor u equal to ``kern.is_squarefree`` of f =
+    factor * u (no factor: f = u), for u of exact degree len(u) - 1, without
+    the product: f is squarefree exactly when the factor F and u are and
+    gcd(F, u) = 1.  Once per F come F's roots R in F_q and N = F / prod(x -
+    r); each u is checked for u(r) != 0 on R (Horner), gcd(u, N) = 1 when
+    deg N >= 1, and squarefree (a constant u is)."""
+    is_squarefree = kern.is_squarefree
+    if not factor or len(factor) == 1:
+        return is_squarefree
+    if not is_squarefree(factor):
+        return lambda u: False
+    add = kern.add
+    mul = kern.mul
+    roots = []
+    rest = list(factor)  # N, by synthetic division by each x - r
+    for r in range(kern.q):
+        acc = 0
+        quot = []
+        for c in reversed(rest):
+            acc = add[mul[r][acc]][c]
+            quot.append(acc)
+        if not acc:
+            roots.append(r)
+            rest = quot[-2::-1]
+    zero_root = 0 in roots  # u(0) is u[0]
+    root_rows = [mul[r] for r in roots if r]
+
+    def test(u):
+        if zero_root and not u[0]:
+            return False
+        for mr in root_rows:
+            acc = 0
+            for c in reversed(u):
+                acc = add[mr[acc]][c]
+            if not acc:
+                return False
+        if len(rest) > 1 and not kern.coprime(list(u), list(rest)):
+            return False
+        return len(u) == 1 or is_squarefree(u)
+
+    return test
+
+
 def _class_key(kern, row):
     """The projective class of a row (scaled so its first nonzero entry is
     1), or None for the zero row."""
@@ -449,9 +541,19 @@ def _irreducibles(kern, top):
     products a b with a irreducible of degree k and b free of factors below
     degree k."""
     q = kern.q
-    add = kern.add
     mul = kern.mul
     powers = [q**i for i in range(top)]
+
+    def horner(vals, r):
+        """The values at r of the x h + c (h in order, c = 0 .. q-1 fastest)
+        from those of the h: r h(r) + c.  In bulk, as bytes, at q <= 256."""
+        if q > 256:
+            return [x for v in vals for x in kern.add[mul[r][v]]]
+        rv = vals.translate(bytes(mul[r]).ljust(256, b"\0"))
+        out = rv * q
+        for c in range(q):
+            out[c::q] = rv.translate(bytes(kern.add[c]).ljust(256, b"\0"))
+        return out
 
     def monics(d, k):
         # the monic polynomials of degree d free of factors below degree k
@@ -463,11 +565,12 @@ def _irreducibles(kern, top):
     for d in range(1, top + 1):
         found = bytearray(q**d)
         for r in range(q):
-            mr = mul[r]
-            vals = [1]
-            for _ in range(d):  # h = x h' + c, so h(r) = r h'(r) + c
-                vals = [x for v in vals for x in add[mr[v]]]
-            for i in itertools.compress(range(q**d), map(operator.not_, vals)):
+            vals = bytearray(b"\1") if q <= 256 else [1]  # h = 1 at r
+            for _ in range(d):
+                vals = horner(vals, r)
+            i = -1
+            for _ in range(vals.count(0)):  # the monics with root r
+                i = vals.index(0, i + 1)
                 found[i] = 1
         for k in range(2, d // 2 + 1):
             bs = list(monics(d - k, k))
@@ -581,6 +684,10 @@ def scan(task: dict) -> dict:
     other free coefficients.  Returns enumerated/squarefree/rank/p-rank
     counts of the candidates checked and up to ``collect_limit`` matching
     coefficient vectors (encodings, ascending).
+
+    Per candidate: ``squarefree_test`` on the cofactor u, f = factor * u
+    only if the candidate goes on, ``end_rows_rank_le_1`` for a rank-one
+    target, then the half power, rank and p-rank.
     """
     kern = get_kernel(task["p"], task["k"], tuple(task["modulus"]))
     q = kern.q
@@ -603,7 +710,7 @@ def scan(task: dict) -> dict:
         u[idx] = enc
 
     poly_mul = kern.poly_mul
-    is_squarefree = kern.is_squarefree
+    squarefree = squarefree_test(kern, factor)
     poly_pow = kern.poly_pow
     rank = kern.rank
     p_rank = kern.p_rank
@@ -631,19 +738,16 @@ def scan(task: dict) -> dict:
         for i, v in zip(slots, vals):
             u[i] = v
 
-        f = poly_mul(factor, u) if factor else u
-
-        sq = is_squarefree(f)
+        sq = squarefree(u)
         if sq:
             n_sq += 1
         if require_smooth and not sq:
             continue
+        f = poly_mul(factor, u) if factor else u
 
         if filtered:
-            if use_prefilter:
-                r1, rg = end_rows(kern, f, g)
-                if not rows_could_be_rank_le_1(kern, r1, rg):
-                    continue
+            if use_prefilter and not end_rows_rank_le_1(kern, f, g):
+                continue
             kappa = poly_pow(f, e) if e > 1 else list(f)
             rows = matrix_rows(kappa, g, p)
             if target_rank is not None:

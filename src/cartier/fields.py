@@ -24,8 +24,9 @@ Text formats:
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "FieldSpec",
@@ -67,6 +68,37 @@ def _rand_below(rng: random.Random, n: int) -> int:
         r = rng.getrandbits(bits)
         if r < n:
             return r
+
+
+def _draws_below(rng: random.Random, n: int, sizes: Iterable[int]) -> Iterator[array]:
+    """For each size in ``sizes``, the next that many values of
+    :func:`_rand_below` (rng, n), 2 <= n <= 2^16, as an array of typecode
+    'B' (n <= 256) or 'H'.
+
+    The same values from the same words in bulk: ``getrandbits(b)``, b <= 32,
+    is the top b bits of the next MT19937 word, and ``getrandbits(32 m)``
+    holds the next m words, least significant first.  So the top byte (or
+    two) of each word, shifted down and with the rejected ones dropped,
+    continues the stream.  Accepted values carry over to the next size; a
+    few words past the last value used may be drawn and never read.
+    """
+    bits = (n - 1).bit_length()
+    wide = n > 256
+    shift = (16 if wide else 8) - bits
+    table = bytes(b >> shift for b in range(256))
+    drop = bytes(b for b in range(256) if b >> shift >= n)
+    values = array("H" if wide else "B")
+    for size in sizes:
+        while len(values) < size:
+            words = ((size - len(values)) << bits) // n + 16
+            raw = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+            if wide:
+                tops = (hi << 8 | lo for hi, lo in zip(raw[3::4], raw[2::4]))
+                values.extend(v for t in tops if (v := t >> shift) < n)
+            else:
+                values.frombytes(raw[3::4].translate(table, drop))
+        yield values[:size]
+        del values[:size]
 
 
 @dataclass(frozen=True)

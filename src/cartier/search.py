@@ -35,7 +35,7 @@ from itertools import islice
 from typing import Iterable, Mapping
 
 from . import _kernel
-from .fields import FieldElement, FieldSpec, _rand_below, make_field
+from .fields import FieldElement, FieldSpec, _draws_below, make_field
 from .invariants import Invariants, invariants, report_fragment
 from .poly import Poly, parse_poly
 
@@ -66,7 +66,7 @@ _RANDOM_SHARD_SAMPLES = 100_000
 _PIECE = 2_500
 # the candidates that repay one pool worker: on a 2-core Xeon host the
 # pool's import, start and teardown cost about 40-60 ms, and the
-# per-candidate path 20-30 us a candidate (kernel.scan_us_per_cand of
+# per-candidate path 15-30 us a candidate (kernel.scan_us_per_cand of
 # perfbench/run.py --trace 1 on script2-f49 and witness-heavy), so a worker
 # needs on the order of 1 000 candidates to pay for itself; a search of at
 # most this many runs in this process
@@ -311,12 +311,14 @@ def _affine_form(spec: SearchSpec) -> tuple[list[int], list[list[int]]]:
 def _takes_rank_one_path(spec: SearchSpec) -> bool:
     """Exhaustive rank-one searches check only the survivors of the end-row
     join, when the family outnumbers the monic h the squarefree sieve may
-    visit."""
+    visit.  At genus 1 the matrix is 1 x 1, so the join would reject
+    nothing."""
     q = spec.field.order
     return (
         spec.mode == "exhaustive"
         and spec.target_a is not None
         and spec.genus - spec.target_a == 1
+        and spec.genus >= 2
         and spec.prefilter
         and q ** len(spec.free) > sum(q**d for d in range(spec.degree // 2 + 1))
     )
@@ -366,12 +368,9 @@ def _make_tasks(spec: SearchSpec, budget: int) -> list[dict]:
             )
         # one shared stream, sample-major, ascending free index, each piece
         # filled in turn
-        rng = random.Random(spec.seed)
-        pieces = []
-        for start in range(0, spec.samples, _PIECE):
-            count = min(_PIECE, spec.samples - start)
-            draws = [_rand_below(rng, q) for _ in range(count * nf)]
-            pieces.append(array(typecode, draws))
+        starts = range(0, spec.samples, _PIECE)
+        sizes = [min(_PIECE, spec.samples - s) * nf for s in starts]
+        pieces = list(_draws_below(random.Random(spec.seed), q, sizes))
     return [dict(base, draws=d, count=len(d) // nf) for d in pieces]
 
 

@@ -588,7 +588,7 @@ class TestArgumentErrors:
         def no_draws(*args):
             raise AssertionError("sample drawn for a search over budget")
 
-        monkeypatch.setattr(search, "_rand_below", no_draws)
+        monkeypatch.setattr(search, "_draws_below", no_draws)
         code, out, err = run_cli(
             capsys,
             "search", "--p", "5", "--genus", "2", "--fix", "c0=0,c5=1",
@@ -713,7 +713,7 @@ class TestFailureExitCodes:
         def no_draws(*args):
             raise AssertionError("sample drawn for a search over budget")
 
-        monkeypatch.setattr(search, "_rand_below", no_draws)
+        monkeypatch.setattr(search, "_draws_below", no_draws)
         code, out, err = run_cli(
             capsys, "reproduce", "--script", "2", "--samples", "6000",
             "--seed", "1", "--budget", "5999", "--threads", "2",

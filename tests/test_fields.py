@@ -13,6 +13,7 @@ from cartier import (
     parse_field_spec,
     random_element,
 )
+from cartier.fields import _draws_below, _rand_below
 
 
 class TestMakeField:
@@ -162,6 +163,20 @@ class TestRandom:
         rng = random.Random(1)
         got = [str(random_element(F49, rng)) for _ in range(5)]
         assert got == ["[1,1]", "[1,5]", "[6,6]", "[4,0]", "[2,2]"]
+
+    @pytest.mark.parametrize(
+        "n", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 121, 243, 256, 289, 343, 1024]
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    def test_bulk_draws_equal_single_draws(self, n, seed):
+        # value for value from the same words, with sizes that cut the stream
+        # anywhere, so accepted values carry over from one size to the next
+        sizes = [0, 1, 7, 2, 500, 0, 3, 1234]
+        ref = random.Random(seed)
+        bulk = _draws_below(random.Random(seed), n, sizes)
+        for size, got in zip(sizes, bulk, strict=True):
+            assert got.typecode == ("B" if n <= 256 else "H")
+            assert list(got) == [_rand_below(ref, n) for _ in range(size)]
 
     def test_draws_in_range(self, F9):
         rng = random.Random(7)

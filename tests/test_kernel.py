@@ -24,11 +24,13 @@ from cartier import (
 from cartier._kernel import (
     _irreducibles,
     end_rows,
+    end_rows_rank_le_1,
     get_kernel,
     matrix_rows,
     rank_one_survivors,
     rows_could_be_rank_le_1,
     squarefree_count,
+    squarefree_test,
 )
 from cartier.invariants import p_rank as obj_p_rank
 from cartier.invariants import rank as obj_rank
@@ -162,6 +164,55 @@ def test_kernel_squarefree_on_square_multiples_over_f49():
         assert kern.is_squarefree(list(enc)) == is_squarefree(f), enc
 
 
+@pytest.mark.parametrize("p, k", [(3, 1), (5, 1), (3, 2)])
+def test_cofactor_squarefree_test_equals_the_product(p, k):
+    # every cofactor u of degree <= 3 under factors with no root, distinct
+    # roots, a repeated root, an irreducible quadratic part and a constant
+    q = p**k
+    kern = get_kernel(p, k, make_field(p, k).modulus)
+    factors = [
+        None, [2], [0, 1], [0, q - 1, 1], [0, 0, 1], [1, 0, 1], [0, 1, 0, 1],
+        [1, 2, 0, 1], [0, 0, 1, 1], [1, 1, 1, 1, 1],
+    ]
+    for factor in factors:
+        test = squarefree_test(kern, factor)
+        for deg in range(4):
+            for low in itertools.product(range(q), repeat=deg):
+                for lead in range(1, q):
+                    u = [*low, lead]
+                    f = kern.poly_mul(factor, u) if factor else u
+                    if len(f) >= 2:
+                        assert test(u) == kern.is_squarefree(f), (factor, u)
+
+
+@pytest.mark.parametrize("p, k", [(5, 1), (7, 1), (11, 1), (13, 1), (5, 2), (7, 2)])
+def test_early_exit_prefilter_equals_the_reference(p, k):
+    # random f of genus 1..7 with 0..3 low zeros (row 1 is zero once
+    # e v >= p), sparse enough that rows are often proportional, and an f
+    # whose row 1 is zero for every genus
+    q = p**k
+    e = (p - 1) // 2
+    kern = get_kernel(p, k, make_field(p, k).modulus)
+    rng = random.Random(p * k)
+    verdicts = set()
+    for g in range(1, 8):
+        fs = [[0] * (p // e + 1) + [1] * (2 * g + 1 - p // e)]
+        for v in range(4):
+            for _ in range(60):
+                f = [0] * v + [
+                    rng.randrange(q) if rng.random() < 0.5 else 0
+                    for _ in range(2 * g + 1 - v)
+                ]
+                fs.append((f + [rng.randrange(1, q)])[-(2 * g + 2) :])
+        for f in fs:
+            r1, rg = end_rows(kern, f, g)
+            expected = rows_could_be_rank_le_1(kern, r1, rg)
+            assert end_rows_rank_le_1(kern, f, g) == expected, (g, f)
+            verdicts.add((expected, any(r1) and any(rg)))
+    # a zero row, two proportional nonzero rows and a nonzero minor all occur
+    assert verdicts == {(True, False), (True, True), (False, True)}
+
+
 @pytest.mark.parametrize("p,k", FIELDS)
 def test_kernel_products_match_object_layer(p, k):
     F = make_field(p, k)
@@ -280,9 +331,13 @@ def test_join_survivors_skip_x2_under_require_smooth(
     assert skipped
 
 
-def test_join_rows_take_two_bytes_a_value_past_256():
+def test_join_rows_take_two_bytes_a_value_past_256(monkeypatch):
     # genus 1 over F_289: the matrix is 1 x 1, so every assignment survives,
-    # and its row holds two little-endian bytes a value
+    # and its row holds two little-endian bytes a value.  Searches skip the
+    # join at genus 1, so the path is forced on for the pieces below
+    import cartier.search as search
+
+    monkeypatch.setattr(search, "_takes_rank_one_path", lambda spec: True)
     spec = _family(17, 2, 3, {0: 0, 3: 1}, (1, 2))
     kern = get_kernel(17, 2, spec.field.modulus)
     rows = list(rank_one_survivors(kern, *_affine_form(spec), spec.free))
@@ -436,11 +491,13 @@ def _moebius(n):
 
 
 @pytest.mark.parametrize(
-    "p, k, top", [(3, 1, 8), (5, 1, 6), (7, 1, 5), (3, 2, 4), (5, 2, 4), (7, 2, 3)]
+    "p, k, top",
+    [(3, 1, 8), (5, 1, 6), (7, 1, 5), (3, 2, 4), (5, 2, 4), (7, 2, 3), (17, 2, 2)],
 )
 def test_irreducible_counts_match_gauss(p, k, top):
     # Gauss's count of the monic irreducibles of degree d over F_q,
-    # (1/d) sum_{e | d} mu(d/e) q^e, which shares no code with the sieve
+    # (1/d) sum_{e | d} mu(d/e) q^e, which shares no code with the sieve;
+    # past q = 256 the root pass holds two bytes a value
     q = p**k
     kern = get_kernel(p, k, make_field(p, k).modulus)
     found = [list(hs) for hs in _irreducibles(kern, top)]

@@ -5,6 +5,7 @@ twist or a Frobenius twist of the coefficients must keep, checked in the
 object layer and in the kernel."""
 
 import functools
+import os
 import random
 
 import pytest
@@ -147,6 +148,33 @@ def test_p_rank_from_point_counts_genus2(p, k):
         assert invariants(f).p_rank == p_rank, f.text()
         assert _kernel_invariants(F, f)[2] == p_rank, f.text()
         checked += 1
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(
+    os.environ.get("CARTIER_RUN_LONG") != "1", reason="opt-in: CARTIER_RUN_LONG=1"
+)
+@pytest.mark.parametrize(
+    "p, k, genus, curves, p_ranks",
+    [(3, 1, 4, 12, {2, 3, 4}), (5, 1, 4, 6, {2, 3, 4}), (5, 2, 3, 1, {3})],
+)
+def test_p_rank_from_point_counts_past_genus2(p, k, genus, curves, p_ranks):
+    # genus 4 over F_3 (counts up to F_81) and F_5 (up to F_625), and one
+    # genus-3 curve over F_25 (up to F_{5^6}): both layers' p-ranks against
+    # the L-polynomial's, on seeded squarefree curves whose p-ranks vary
+    F = make_field(p, k)
+    rng = random.Random(41 + p * k)
+    seen = []
+    while len(seen) < curves:
+        enc = [rng.randrange(F.order) for _ in range(2 * genus + 1)] + [1]
+        f = Poly.from_ints(F, enc)
+        if not is_squarefree(f):
+            continue
+        p_rank = _p_rank_from_counts(f, genus)
+        assert invariants(f).p_rank == p_rank, f.text()
+        assert _kernel_invariants(F, f)[2] == p_rank, f.text()
+        seen.append(p_rank)
+    assert set(seen) == p_ranks
 
 
 @pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (3, 3), (7, 2)])

@@ -167,6 +167,12 @@ class TestPrefilter:
         assert doc["matched"] == 0
         assert doc["counts"]["squarefree"] > 0
 
+    def test_genus_one_skips_the_join(self, F7):
+        # the 1 x 1 matrix has rank <= 1 whatever f is, so the join could
+        # reject nothing: a genus-1 search checks every candidate
+        assert not _takes_rank_one_path(monic_odd_family(F7, 1, target_a=0))
+        assert _takes_rank_one_path(monic_odd_family(F7, 2, target_a=1))
+
 
 class TestDeterminism:
     def test_threads_do_not_change_report(self, F5):
@@ -252,6 +258,23 @@ class TestRandomMode:
         rep = run_search(spec)
         assert rep.shard_count == 4
         assert [w.f for w in rep.witnesses] == expected
+
+    @pytest.mark.parametrize("p, k", [(7, 2), (17, 2)])
+    def test_pieces_hold_the_pinned_stream(self, p, k, monkeypatch):
+        # at every piece size the pieces cut one _rand_below stream,
+        # sample-major, ascending free index, one byte a value or two past 256
+        import cartier.search as search
+        from cartier.fields import _rand_below
+
+        F = make_field(p, k)
+        spec = monic_odd_family(F, 2, samples=50, seed=5)
+        rng = random.Random(5)
+        expected = [_rand_below(rng, F.order) for _ in range(50 * len(spec.free))]
+        for piece in (1, 3, 7, 2500):
+            monkeypatch.setattr(search, "_PIECE", piece)
+            tasks = search._make_tasks(spec, search.DEFAULT_BUDGET)
+            assert {t["draws"].typecode for t in tasks} == {"B" if p**k <= 256 else "H"}
+            assert [v for t in tasks for v in t["draws"]] == expected
 
     def test_piece_boundaries_do_not_change_report(
         self, F5, F7, monkeypatch, pool_starts
