@@ -9,10 +9,11 @@ logs of a generator of F_q^*), so fields are capped at
 ``TableKernel.MAX_ORDER`` elements.
 
 ``scan`` tests each candidate of a task: squarefree gcd, the rank-one
-prefilter on rows 1 and g, then the full half power, rank and p-rank.  With
-a fixed factor F, f = F u is squarefree exactly when F and the cofactor u
-are and gcd(F, u) = 1, so ``squarefree_test`` checks u against F's roots
-and the rest of F and never forms f for a candidate that fails.  Rows 1 and
+prefilter on rows 1 and g if the task asks, then the full half power, rank
+and p-rank.  With a fixed factor F, f = F u is squarefree exactly when F
+and the cofactor u are and gcd(F, u) = 1, so ``squarefree_test`` checks u
+against F's roots and the rest of F and never forms f for a candidate that
+fails.  Rows 1 and
 g need f^e (e = (p-1)/2) below x^p and the power of f's reversal below
 x^(e+1).  Both come from Miller's power-series recurrence, which divides
 only by m < p and so is exact in characteristic p; row 1 first shifts out
@@ -22,13 +23,14 @@ down, and stops at the first nonzero 2x2 minor; ``end_rows`` and
 ``rows_could_be_rank_le_1`` are its reference.
 
 A task is a top-coefficient shard of an exhaustive search or a piece of
-assignments: random draws or, for an exhaustive search for rank one (a =
-g-1) with the prefilter on, survivors of ``rank_one_survivors``.  That join
-runs once per search: the family is affine, f = f0 + sum c_i b_i, so it
-matches the assignments of the coefficients row 1 reads with those row g
-reads on the projective class of the row.  The family's squarefree count
-then comes from ``squarefree_count``, a Moebius sieve over F_q[x] with one
-linear system per square h^2.  Checking every candidate stays the oracle.
+assignments: random draws or survivors of ``rank_one_survivors``, the
+search's choice of where the end-row test for rank one (a = g-1) runs.
+The join runs once per search: the family is affine, f = f0 + sum c_i b_i,
+so it matches the assignments of the coefficients row 1 reads with those
+row g reads on the projective class of the row; scan does not repeat the
+test on them.  The family's squarefree count then comes from
+``squarefree_count``, a Moebius sieve over F_q[x] with one linear system
+per square h^2.  Checking every candidate stays the oracle.
 
 The object layer in fields/poly/invariants is the reference implementation.
 Everything here is cross-checked against it by the test suite, and every
@@ -678,16 +680,16 @@ def squarefree_count(kern, f0, basis):
 def scan(task: dict) -> dict:
     """Run one task of a search; pure function of the task description.
 
-    A task with ``draws`` checks its ``count`` assignments (sample-major,
-    ascending free index): random draws or rank-one survivors.  Any other
-    is the top-coefficient shard ``top`` and checks every assignment of the
-    other free coefficients.  Returns enumerated/squarefree/rank/p-rank
-    counts of the candidates checked and up to ``collect_limit`` matching
-    coefficient vectors (encodings, ascending).
+    A task checks ``count`` candidates: its ``draws`` (sample-major,
+    ascending free index), random or rank-one survivors, or, as the shard
+    ``top``, every assignment of the free coefficients below the top one.
+    Returns enumerated/squarefree/rank/p-rank counts of the candidates
+    checked and up to ``collect_limit`` matching coefficient vectors
+    (encodings, ascending).
 
     Per candidate: ``squarefree_test`` on the cofactor u, f = factor * u
-    only if the candidate goes on, ``end_rows_rank_le_1`` for a rank-one
-    target, then the half power, rank and p-rank.
+    only if the candidate goes on, ``end_rows_rank_le_1`` when the task's
+    ``prefilter`` says so, then the half power, rank and p-rank.
     """
     kern = get_kernel(task["p"], task["k"], tuple(task["modulus"]))
     q = kern.q
@@ -702,7 +704,7 @@ def scan(task: dict) -> dict:
     target_p_rank = task["target_p_rank"]
     limit = task["collect_limit"]
     target_rank = g - target_a if target_a is not None else None
-    use_prefilter = task["prefilter"] and target_rank == 1 and e >= 2
+    prefilter = task["prefilter"]
 
     cof_len = degree + 1 - (len(factor) - 1 if factor else 0)
     u = [0] * cof_len
@@ -717,7 +719,6 @@ def scan(task: dict) -> dict:
 
     if "draws" in task:
         slots = free
-        total = task["count"]
         candidates = zip(*[iter(task["draws"])] * len(slots))
     else:
         # the shard fixes the top free coefficient; product varies its last
@@ -725,7 +726,6 @@ def scan(task: dict) -> dict:
         if free:
             u[free[-1]] = task["top"]
         slots = free[-2::-1]
-        total = q ** len(slots)
         candidates = itertools.product(range(q), repeat=len(slots))
     filtered = target_rank is not None or target_p_rank is not None
 
@@ -746,7 +746,7 @@ def scan(task: dict) -> dict:
         f = poly_mul(factor, u) if factor else u
 
         if filtered:
-            if use_prefilter and not end_rows_rank_le_1(kern, f, g):
+            if prefilter and not end_rows_rank_le_1(kern, f, g):
                 continue
             kappa = poly_pow(f, e) if e > 1 else list(f)
             rows = matrix_rows(kappa, g, p)
@@ -762,7 +762,7 @@ def scan(task: dict) -> dict:
             wits.append(list(f))
 
     return {
-        "enumerated": total,
+        "enumerated": task["count"],
         "squarefree": n_sq,
         "rank_matched": n_rank,
         "p_rank_matched": n_pr,

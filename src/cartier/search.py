@@ -14,7 +14,8 @@ index) and cuts it into fixed pieces of ``_PIECE`` samples.  Exhaustive
 rank-one searches over large enough families check only the survivors of one
 join on the end rows, run in the parent and cut the same way in enumeration
 order, and take the squarefree count from a sieve (see ``_kernel``); their
-reports are the per-candidate path's.  A pool gets one worker per
+reports are the per-candidate path's, and ``_rank_one_filter`` alone decides
+where the end-row test runs.  A pool gets one worker per
 ``_WORKER_CANDIDATES`` candidates checked, up to the thread count and the
 task count, so a smaller search runs in this process at any thread count.
 Task results merge in task order: counts add, witness lists concatenate and
@@ -308,35 +309,37 @@ def _affine_form(spec: SearchSpec) -> tuple[list[int], list[list[int]]]:
     return f0, [encodings(factor * Poly.monomial(field, i)) for i in spec.free]
 
 
-def _takes_rank_one_path(spec: SearchSpec) -> bool:
-    """Exhaustive rank-one searches check only the survivors of the end-row
-    join, when the family outnumbers the monic h the squarefree sieve may
-    visit.  At genus 1 the matrix is 1 x 1, so the join would reject
-    nothing."""
+def _rank_one_filter(spec: SearchSpec) -> str | None:
+    """Where the end-row test of a rank-one (a = g-1) search with the
+    prefilter on runs: "join" when the search is exhaustive and the family
+    outnumbers the monic h the squarefree sieve may visit, so its tasks hold
+    the join's survivors only; "scan" for ``_kernel.end_rows_rank_le_1`` on
+    each candidate otherwise, at p >= 5 (at p = 3 the half power is f
+    itself); None elsewhere.  At genus 1 the matrix is 1 x 1 and rows 1 and
+    g are one row, so neither runs."""
+    if not spec.prefilter or spec.target_a != spec.genus - 1 or spec.genus < 2:
+        return None
     q = spec.field.order
-    return (
-        spec.mode == "exhaustive"
-        and spec.target_a is not None
-        and spec.genus - spec.target_a == 1
-        and spec.genus >= 2
-        and spec.prefilter
-        and q ** len(spec.free) > sum(q**d for d in range(spec.degree // 2 + 1))
-    )
+    if spec.mode == "exhaustive" and q ** len(spec.free) > sum(
+        q**d for d in range(spec.degree // 2 + 1)
+    ):
+        return "join"
+    return "scan" if spec.field.p >= 5 else None
 
 
-def _base_task(spec: SearchSpec) -> dict:
-    # the report's spec echo, with the factor and the fixed values as encodings
-    return dict(
+def _make_tasks(spec: SearchSpec, budget: int) -> list[dict]:
+    """Top-coefficient shards or pieces of ``draws``, each the spec's echo
+    with the factor and fixed values as encodings, whether scan runs the
+    end-row test (``prefilter``) and the candidates it checks (``count``)."""
+    rank_one = _rank_one_filter(spec)
+    base = dict(
         _spec_to_dict(spec),
         factor=(
             [c.encoding for c in spec.factor.coeffs] if spec.factor is not None else None
         ),
         fixed=sorted((i, el.encoding) for i, el in spec.fixed.items()),
+        prefilter=rank_one == "scan",
     )
-
-
-def _make_tasks(spec: SearchSpec, budget: int) -> list[dict]:
-    base = _base_task(spec)
     q = spec.field.order
     nf = len(spec.free)
     typecode = "B" if q <= 256 else "H"  # a value in one byte, or two
@@ -346,10 +349,9 @@ def _make_tasks(spec: SearchSpec, budget: int) -> list[dict]:
             raise BudgetExceededError(
                 f"exhaustive space of {size} candidates exceeds budget {budget}"
             )
-        if not _takes_rank_one_path(spec):
-            if not spec.free:
-                return [dict(base, top=None)]
-            return [dict(base, top=v) for v in range(q)]
+        if rank_one != "join":
+            tops = range(q) if spec.free else [None]
+            return [dict(base, top=v, count=size // len(tops)) for v in tops]
         # the join's survivors in enumeration order, each the little-endian
         # bytes of its values; a piece joins _PIECE of them
         kern = _kernel.get_kernel(spec.field.p, spec.field.k, spec.field.modulus)
@@ -374,21 +376,17 @@ def _make_tasks(spec: SearchSpec, budget: int) -> list[dict]:
     return [dict(base, draws=d, count=len(d) // nf) for d in pieces]
 
 
-def _worker_count(spec: SearchSpec, tasks: list[dict], threads: int) -> int:
+def _worker_count(tasks: list[dict], threads: int) -> int:
     """The pool size for ``tasks``: at most ``threads``, one per task and one
-    per ``_WORKER_CANDIDATES`` candidates checked, where a piece checks its
-    count and the top-coefficient shards split the whole family."""
-    if tasks and "count" not in tasks[0]:
-        checked = spec.exhaustive_size()
-    else:
-        checked = sum(t["count"] for t in tasks)
+    per ``_WORKER_CANDIDATES`` candidates the tasks check."""
+    checked = sum(t["count"] for t in tasks)
     return min(threads, len(tasks), -(-checked // _WORKER_CANDIDATES))
 
 
 def _squarefree_total(spec: SearchSpec) -> int | None:
-    """The family's squarefree count from the sieve on the rank-one path,
-    whose pieces count survivors only; None elsewhere."""
-    if not _takes_rank_one_path(spec):
+    """The family's squarefree count from the sieve when the join runs, whose
+    pieces count survivors only; None elsewhere."""
+    if _rank_one_filter(spec) != "join":
         return None
     kern = _kernel.get_kernel(spec.field.p, spec.field.k, spec.field.modulus)
     return _kernel.squarefree_count(kern, *_affine_form(spec))
@@ -478,7 +476,7 @@ def run_search(
     _validate_spec(spec)
     t0 = time.perf_counter()
     tasks = _make_tasks(spec, budget)
-    workers = _worker_count(spec, tasks, threads)
+    workers = _worker_count(tasks, threads)
     if workers <= 1:
         counts, wit_encs = _merge(spec, map(_kernel.scan, tasks))
         witnesses = tuple(_decode_witness(spec, enc) for enc in wit_encs)

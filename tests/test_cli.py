@@ -390,16 +390,16 @@ class TestPoolImport:
         real = search._make_tasks
 
         def recorder(spec, budget):
-            made.append((spec, real(spec, budget)))
-            return made[-1][1]
+            made.append(real(spec, budget))
+            return made[-1]
 
         monkeypatch.setattr(search, "_make_tasks", recorder)
         seed = str(WORKLOADS["default_seed"])
         argv = [a.replace("{seed}", seed) for a in WORKLOADS["workloads"][name][key]]
         assert run_cli(capsys, *argv, "--threads", "1")[0] == 0
-        [(spec, tasks)] = made
+        [tasks] = made
         assert len(tasks) == n_tasks
-        assert search._worker_count(spec, tasks, threads) == workers
+        assert search._worker_count(tasks, threads) == workers
 
 
 class TestArgumentErrors:

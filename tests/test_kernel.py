@@ -337,7 +337,7 @@ def test_join_rows_take_two_bytes_a_value_past_256(monkeypatch):
     # join at genus 1, so the path is forced on for the pieces below
     import cartier.search as search
 
-    monkeypatch.setattr(search, "_takes_rank_one_path", lambda spec: True)
+    monkeypatch.setattr(search, "_rank_one_filter", lambda spec: "join")
     spec = _family(17, 2, 3, {0: 0, 3: 1}, (1, 2))
     kern = get_kernel(17, 2, spec.field.modulus)
     rows = list(rank_one_survivors(kern, *_affine_form(spec), spec.free))
@@ -497,9 +497,14 @@ def _moebius(n):
 def test_irreducible_counts_match_gauss(p, k, top):
     # Gauss's count of the monic irreducibles of degree d over F_q,
     # (1/d) sum_{e | d} mu(d/e) q^e, which shares no code with the sieve;
-    # past q = 256 the root pass holds two bytes a value
+    # past q = 256 the root pass holds two bytes a value.  A count can be
+    # right with the wrong monics, so a seeded sample of each degree d >= 2
+    # is checked through the object layer for a root in F_q (exact at d <= 3)
     q = p**k
-    kern = get_kernel(p, k, make_field(p, k).modulus)
+    F = make_field(p, k)
+    kern = get_kernel(p, k, F.modulus)
+    elements = list(enumerate_field(F))
+    rng = random.Random(q * top)
     found = [list(hs) for hs in _irreducibles(kern, top)]
     for d, hs in enumerate(found, 1):
         gauss = sum(_moebius(d // e) * q**e for e in range(1, d + 1) if d % e == 0)
@@ -507,4 +512,7 @@ def test_irreducible_counts_match_gauss(p, k, top):
         assert all(len(h) == d + 1 and h[-1] == 1 for h in hs)
         index = [sum(c * q**i for i, c in enumerate(h[:-1])) for h in hs]
         assert index == sorted(set(index))
+        for h in rng.sample(hs, min(len(hs), 40)) if d >= 2 else []:
+            poly = Poly.from_ints(F, h)
+            assert all(poly(x) for x in elements), (q, h)
     assert len(found) == top

@@ -5,7 +5,6 @@ twist or a Frobenius twist of the coefficients must keep, checked in the
 object layer and in the kernel."""
 
 import functools
-import os
 import random
 
 import pytest
@@ -151,9 +150,6 @@ def test_p_rank_from_point_counts_genus2(p, k):
 
 
 @pytest.mark.slow
-@pytest.mark.skipif(
-    os.environ.get("CARTIER_RUN_LONG") != "1", reason="opt-in: CARTIER_RUN_LONG=1"
-)
 @pytest.mark.parametrize(
     "p, k, genus, curves, p_ranks",
     [(3, 1, 4, 12, {2, 3, 4}), (5, 1, 4, 6, {2, 3, 4}), (5, 2, 3, 1, {3})],

@@ -22,7 +22,7 @@ from cartier import (
     verify_p_rank_witnesses,
     verify_theorem1,
 )
-from cartier.search import Witness, _takes_rank_one_path
+from cartier.search import Witness, _rank_one_filter
 
 
 class TestRunSearchSmallFamilies:
@@ -121,7 +121,7 @@ class TestPrefilter:
         )
         assert spec.free == free
         off = dataclasses.replace(spec, prefilter=False)
-        assert _takes_rank_one_path(spec) and not _takes_rank_one_path(off)
+        assert (_rank_one_filter(spec), _rank_one_filter(off)) == ("join", None)
         expected = run_search(off, threads=2).to_dict()
         expected["spec"]["prefilter"] = True
         for threads in (1, 2):
@@ -170,8 +170,55 @@ class TestPrefilter:
     def test_genus_one_skips_the_join(self, F7):
         # the 1 x 1 matrix has rank <= 1 whatever f is, so the join could
         # reject nothing: a genus-1 search checks every candidate
-        assert not _takes_rank_one_path(monic_odd_family(F7, 1, target_a=0))
-        assert _takes_rank_one_path(monic_odd_family(F7, 2, target_a=1))
+        assert _rank_one_filter(monic_odd_family(F7, 1, target_a=0)) is None
+        assert _rank_one_filter(monic_odd_family(F7, 2, target_a=1)) == "join"
+
+    @pytest.mark.parametrize(
+        "genus, fixed, samples, where",
+        [
+            # the script1-f7 family (7^5): scan checks the join's 42
+            # survivors, which the join already tested
+            (4, {0: 0, 1: 1, 2: 1, 3: 1, 9: 1}, None, "join"),
+            # genus 1: rows 1 and g are one row, so neither test runs
+            (1, {0: 0, 3: 1}, None, None),
+            # a random sample and script1-f7's 7-candidate set-up family
+            # are tested candidate by candidate
+            (2, {0: 0, 5: 1}, 300, "scan"),
+            (4, {0: 0, 1: 1, 2: 1, 3: 1, 4: 0, 5: 0, 6: 0, 7: 0, 9: 1}, None, "scan"),
+        ],
+    )
+    def test_end_row_test_runs_where_the_search_says(
+        self, F7, monkeypatch, genus, fixed, samples, where
+    ):
+        # scan runs end_rows_rank_le_1 only on the per-candidate path, and
+        # the report is still its --no-prefilter twin's
+        import cartier._kernel as _kernel
+
+        calls = []
+        real = _kernel.end_rows_rank_le_1
+
+        def counted(kern, f, g):
+            calls.append(g)
+            return real(kern, f, g)
+
+        monkeypatch.setattr(_kernel, "end_rows_rank_le_1", counted)
+        spec = SearchSpec(
+            field=F7,
+            degree=2 * genus + 1,
+            fixed={i: F7.element(v) for i, v in fixed.items()},
+            samples=samples,
+            seed=None if samples is None else 4,
+            target_a=genus - 1,
+            require_smooth=True,
+        )
+        assert _rank_one_filter(spec) == where
+        doc = run_search(spec, threads=1).to_dict()
+        # once a squarefree candidate on the per-candidate path, else never
+        assert len(calls) == (doc["counts"]["squarefree"] if where == "scan" else 0)
+        assert doc["counts"]["squarefree"] > 0
+        off = run_search(dataclasses.replace(spec, prefilter=False)).to_dict()
+        off["spec"]["prefilter"] = True
+        assert json.dumps(doc) == json.dumps(off)
 
 
 class TestDeterminism:
@@ -294,7 +341,7 @@ class TestRandomMode:
             collect_limit=9,
         )
         rank_one_spec = monic_odd_family(F7, 2, target_a=1, collect_limit=9)
-        assert search._takes_rank_one_path(rank_one_spec)
+        assert search._rank_one_filter(rank_one_spec) == "join"
         # sizes, then the assignments checked, enumerated, matched, shards
         cases = [
             (random_spec, (1, 3, 7, 40, 2500), (40, 40, 20, 1)),
