@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import random
 from array import array
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
     "FieldSpec",
@@ -101,8 +100,7 @@ def _draws_below(rng: random.Random, n: int, sizes: Iterable[int]) -> Iterator[a
         del values[:size]
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(NamedTuple):
     """Description of F_{p^k}.
 
     ``modulus`` is the defining monic irreducible, length k+1, ascending

@@ -20,7 +20,7 @@ model, not of a smooth curve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fields import FieldElement
 from .poly import Poly, half_power, is_squarefree
@@ -44,15 +44,13 @@ class UnsupportedDegreeError(ValueError):
     """Raised for even-degree models (documented limitation)."""
 
 
-@dataclass(frozen=True)
-class Curve:
+class Curve(NamedTuple):
     f: Poly
     genus: int
     smooth: bool
 
 
-@dataclass(frozen=True)
-class Invariants:
+class Invariants(NamedTuple):
     genus: int
     smooth: bool
     rank_a: int

@@ -31,9 +31,8 @@ import random
 import sys
 import time
 from array import array
-from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from . import _kernel
 from .fields import FieldElement, FieldSpec, _draws_below, make_field
@@ -83,8 +82,7 @@ class RevalidationError(RuntimeError):
     """The object layer disagrees with the kernel on a collected witness."""
 
 
-@dataclass(frozen=True)
-class SearchSpec:
+class SearchSpec(NamedTuple):
     """Declarative description of one curve-family search.
 
     ``degree`` is the degree of the full defining polynomial f.  ``fixed``
@@ -169,6 +167,9 @@ def _validate_spec(spec: SearchSpec) -> None:
             raise ValueError("random mode requires a sample count >= 0")
         if spec.seed is None:
             raise ValueError("random mode requires a seed")
+        # random.seed(n) uses |n|: a negative seed would repeat another's draws
+        if spec.seed < 0:
+            raise ValueError("the seed must be an integer >= 0")
         if not spec.free:
             raise ValueError("random mode needs at least one free coefficient")
     elif spec.seed is not None:
@@ -182,8 +183,7 @@ def _validate_spec(spec: SearchSpec) -> None:
         raise ValueError("collect_limit must be >= 0")
 
 
-@dataclass(frozen=True)
-class SearchCounts:
+class SearchCounts(NamedTuple):
     enumerated: int
     squarefree: int
     rank_matched: int
@@ -204,8 +204,7 @@ class SearchCounts:
         }
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     f: Poly
     invariants: Invariants
 
@@ -213,8 +212,7 @@ class Witness:
         return report_fragment(self.f, self.invariants)
 
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(NamedTuple):
     """One search's result.  ``seed`` and ``shard_count`` are the spec's:
     the shard count is structural, the number of top-coefficient shards of
     an exhaustive search (q, or 1 with no free coefficient), or of started

@@ -8,7 +8,7 @@ replaces that one attribute (a tracer, a test double) sees every search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import search
 from .fields import FieldElement, FieldSpec, make_field
@@ -51,8 +51,7 @@ def monic_odd_family(field: FieldSpec, genus: int, **options) -> SearchSpec:
     )
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(NamedTuple):
     claim: str
     parameters: dict
     expected: dict

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import multiprocessing
 import os
@@ -274,7 +273,7 @@ class TestReproduceCommand:
 
         def short_run(spec, **kwargs):
             specs.append(spec)
-            return real(dataclasses.replace(spec, samples=30), **kwargs)
+            return real(spec._replace(samples=30), **kwargs)
 
         monkeypatch.setattr(search, "run_search", short_run)
         _, implicit, _ = run_cli(capsys, "reproduce", "--script", "2")
@@ -311,6 +310,18 @@ class TestGoldenReports:
         assert out == (PERFBENCH / "golden" / f"{name}{suffix}").read_text()
 
 
+def run_probe(probe, *argv):
+    """Run ``probe`` with ``argv`` in a fresh interpreter; return its stdout
+    and the words of its last stderr line."""
+    res = subprocess.run(
+        [sys.executable, "-c", probe, *argv],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert res.returncode == 0, res.stderr
+    return res.stdout, res.stderr.splitlines()[-1].split()
+
+
 class TestPoolImport:
     """A run loads the worker pool's modules only when it starts a pool."""
 
@@ -326,13 +337,7 @@ class TestPoolImport:
     )
 
     def run_fresh(self, *argv):
-        res = subprocess.run(
-            [sys.executable, "-c", self.PROBE, *argv],
-            capture_output=True, text=True, timeout=120,
-            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
-        )
-        assert res.returncode == 0, res.stderr
-        return res.stdout, res.stderr.splitlines()[-1].split()
+        return run_probe(self.PROBE, *argv)
 
     SERIAL = {
         "invariants": ["invariants", "--p", "3", "--poly", "0,1,0,0,0,1"],
@@ -402,6 +407,29 @@ class TestPoolImport:
         assert search._worker_count(tasks, threads) == workers
 
 
+class TestStartupImports:
+    """Start-up stays off the heavy standard-library modules: dataclasses
+    alone pulls in inspect, ast, dis and tokenize."""
+
+    HEAVY = ["dataclasses", "inspect"]
+    # the modules the import and a serial search add to those this
+    # interpreter had already loaded (site and its hooks included)
+    PROBE = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from cartier.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        f"print(*(m for m in {HEAVY!r} if m in set(sys.modules) - before), file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+
+    def test_cli_import_and_serial_search_skip_dataclasses(self):
+        argv = [*WORKLOADS["workloads"]["theorem1-f9"]["setup_argv"], "--threads", "1"]
+        out, loaded = run_probe(self.PROBE, *argv)
+        assert json.loads(out)["counts"]["enumerated"] == 9
+        assert loaded == []
+
+
 class TestArgumentErrors:
     def test_no_command(self, capsys):
         assert run_cli(capsys)[0] == 2
@@ -468,6 +496,20 @@ class TestArgumentErrors:
         assert out == ""
         assert err.startswith("error: invalid-input:")
         assert f"malformed --fix entry {entry!r} (want cIDX=VALUE)" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search", "--p", "7", "--genus", "2", "--fix", "c5=1",
+             "--random", "--samples", "50", "--seed", "-1"],
+            ["reproduce", "--script", "2", "--seed", "-1"],
+        ],
+        ids=["search", "reproduce-script2"],
+    )
+    def test_negative_seed_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: invalid-input:") and "seed" in err
 
     def test_negative_budget_exits_2(self, capsys):
         code, out, err = run_cli(
@@ -621,7 +663,7 @@ class TestFailureExitCodes:
         monkeypatch.setattr(
             search,
             "invariants",
-            lambda f: dataclasses.replace(real(f), rank_a=real(f).genus - 2),
+            lambda f: real(f)._replace(rank_a=real(f).genus - 2),
         )
         code, out, err = run_cli(capsys, *self.WITNESS_SEARCH, "--threads", threads)
         assert code == 6

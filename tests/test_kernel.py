@@ -1,7 +1,6 @@
 """Differential tests: the integer-encoded search kernel against the object
 layer, which is the reference implementation."""
 
-import dataclasses
 import itertools
 import random
 
@@ -347,7 +346,7 @@ def test_join_rows_take_two_bytes_a_value_past_256(monkeypatch):
         for c1 in range(289)
     ]
     # and a piece of them holds the values, ascending free index
-    tasks = _make_tasks(dataclasses.replace(spec, target_a=0), DEFAULT_BUDGET)
+    tasks = _make_tasks(spec._replace(target_a=0), DEFAULT_BUDGET)
     assert len(tasks) == -(-(289**2) // 2500)
     assert tasks[0]["draws"].typecode == "H"
     values = [v for c2 in range(289) for c1 in range(289) for v in (c1, c2)]
@@ -383,7 +382,7 @@ def _sieve(spec):
 
 
 def _per_candidate_squarefree(spec):
-    plain = dataclasses.replace(spec, target_a=None, target_p_rank=None)
+    plain = spec._replace(target_a=None, target_p_rank=None)
     return run_search(plain).counts.squarefree
 
 

@@ -1,6 +1,6 @@
-import dataclasses
 import itertools
 import json
+import pickle
 import random
 
 import pytest
@@ -12,6 +12,7 @@ from cartier import (
     enumerate_field,
     forward_form_check,
     invariants,
+    make_curve,
     make_field,
     monic_odd_family,
     parse_poly,
@@ -120,7 +121,7 @@ class TestPrefilter:
             factor=parse_poly(F, factor) if factor else None,
         )
         assert spec.free == free
-        off = dataclasses.replace(spec, prefilter=False)
+        off = spec._replace(prefilter=False)
         assert (_rank_one_filter(spec), _rank_one_filter(off)) == ("join", None)
         expected = run_search(off, threads=2).to_dict()
         expected["spec"]["prefilter"] = True
@@ -216,7 +217,7 @@ class TestPrefilter:
         # once a squarefree candidate on the per-candidate path, else never
         assert len(calls) == (doc["counts"]["squarefree"] if where == "scan" else 0)
         assert doc["counts"]["squarefree"] > 0
-        off = run_search(dataclasses.replace(spec, prefilter=False)).to_dict()
+        off = run_search(spec._replace(prefilter=False)).to_dict()
         off["spec"]["prefilter"] = True
         assert json.dumps(doc) == json.dumps(off)
 
@@ -489,6 +490,16 @@ class TestValidationAndBudget:
                 )
             )
 
+    @pytest.mark.parametrize("seed", [-1, -(2**40)])
+    def test_negative_seed_rejected(self, F5, seed):
+        # random.seed(n) uses |n|, so -1 would silently draw seed 1's samples
+        spec = SearchSpec(
+            field=F5, degree=5, fixed={0: F5.zero, 5: F5.one}, samples=10, seed=seed
+        )
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            run_search(spec)
+        assert run_search(spec._replace(seed=0)).counts.enumerated == 10
+
     def test_seed_without_samples_rejected(self, F5):
         # a spec without samples is exhaustive, and an exhaustive search
         # draws nothing to seed
@@ -496,7 +507,7 @@ class TestValidationAndBudget:
             field=F5, degree=5, fixed={0: F5.zero, 5: F5.one}, seed=3
         )
         assert spec.mode == "exhaustive"
-        assert dataclasses.replace(spec, samples=0).mode == "random"
+        assert spec._replace(samples=0).mode == "random"
         with pytest.raises(ValueError, match="seed only applies to random mode"):
             run_search(spec)
 
@@ -585,8 +596,8 @@ class TestVerifySuites:
         def first_with_p_rank_2(spec, **kwargs):
             rep = real(spec, **kwargs)
             w = rep.witnesses[0]
-            bad = Witness(w.f, dataclasses.replace(w.invariants, p_rank=2))
-            return dataclasses.replace(rep, witnesses=(bad, *rep.witnesses[1:]))
+            bad = Witness(w.f, w.invariants._replace(p_rank=2))
+            return rep._replace(witnesses=(bad, *rep.witnesses[1:]))
 
         monkeypatch.setattr(search, "run_search", first_with_p_rank_2)
         with pytest.raises(RuntimeError, match="p-rank 2"):
@@ -695,3 +706,49 @@ class TestReproduceSmoke:
     def test_bad_script_number(self):
         with pytest.raises(ValueError):
             reproduce_script(3)
+
+
+@pytest.fixture(scope="module")
+def records():
+    """One instance of each record type, with a field to change and a new
+    value for it."""
+    F5 = make_field(5)
+    f = parse_poly(F5, "0,1,0,0,0,1")
+    rep = run_search(monic_odd_family(F5, 2, target_a=0, collect_limit=2))
+    return {
+        "FieldSpec": (F5, "k", 2),
+        "Curve": (make_curve(f), "smooth", False),
+        "Invariants": (invariants(f), "genus", 3),
+        "SearchSpec": (rep.spec, "prefilter", False),
+        "SearchCounts": (rep.counts, "squarefree", 0),
+        "Witness": (rep.witnesses[0], "f", f),
+        "SearchReport": (rep, "elapsed_ms", -1),
+        "ConsistencyReport": (verify_theorem1(3, 1, 3), "passed", False),
+    }
+
+
+class TestRecords:
+    """The record types are immutable values that survive the pool's pickling."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["FieldSpec", "Curve", "Invariants", "SearchSpec", "SearchCounts",
+         "Witness", "SearchReport", "ConsistencyReport"],
+    )
+    def test_value_semantics(self, records, name):
+        record, attr, value = records[name]
+        assert type(record).__name__ == name
+        old = getattr(record, attr)
+        assert old != value
+        with pytest.raises(AttributeError):
+            setattr(record, attr, value)
+        assert getattr(record, attr) == old
+        assert pickle.loads(pickle.dumps(record)) == record
+        changed = record._replace(**{attr: value})
+        assert type(changed) is type(record) and getattr(changed, attr) == value
+        assert getattr(record, attr) == old and changed != record
+
+    def test_field_spec_hash_is_its_fields(self):
+        F9 = make_field(3, 2, [1, 0, 1])
+        assert hash(F9) == hash((3, 2, (1, 0, 1)))
+        assert {F9: 1}[make_field(3, 2, [1, 0, 1])] == 1
