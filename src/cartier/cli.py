@@ -181,6 +181,20 @@ def _make_field_from_args(args) -> FieldSpec:
     return make_field(args.p, args.k, mod)
 
 
+def _check_out(out: str | None) -> None:
+    """Reject an --out that cannot be written before any work starts; the
+    report is still written only at the end, so a failed run leaves none."""
+    if not out:
+        return
+    path = Path(out)
+    if path.is_dir():
+        raise ValueError(f"--out {out!r} is a directory")
+    if not path.parent.is_dir() or not os.access(path.parent, os.W_OK | os.X_OK):
+        raise ValueError(
+            f"--out {out!r}: directory {str(path.parent)!r} is missing or not writable"
+        )
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text + "\n")
@@ -352,6 +366,7 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
+        _check_out(args.out)
         if args.command == "invariants":
             return _cmd_invariants(args)
         if args.command == "search":

@@ -23,6 +23,7 @@ Text formats:
 
 from __future__ import annotations
 
+import operator
 import random
 from array import array
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -38,19 +39,33 @@ __all__ = [
 ]
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    out = []
+    d = 2
     while d * d <= n:
         if n % d == 0:
-            return False
-        d += 2
-    return True
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _power(x, n: int, one, mul=operator.mul):
+    """x^n, n >= 0, by right-to-left square-and-multiply (Knuth, TAOCP vol. 2,
+    sec. 4.6.3): popcount(n) + bit_length(n) - 1 products for n >= 1, as it
+    forms no square past the top bit, where no bit would read it."""
+    result = one
+    while n:
+        if n & 1:
+            result = mul(result, x)
+        n >>= 1
+        if n:
+            x = mul(x, x)
+    return result
 
 
 def _rand_below(rng: random.Random, n: int) -> int:
@@ -220,14 +235,7 @@ class FieldElement:
     def __pow__(self, n: int) -> "FieldElement":
         if n < 0:
             return self.inv() ** (-n)
-        result = self.spec.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, self.spec.one)
 
     def inv(self) -> "FieldElement":
         """Multiplicative inverse; raises ZeroDivisionError on zero."""
@@ -340,7 +348,7 @@ def make_field(
     low-to-high as base-p integers).  A supplied modulus must be monic of
     degree k and irreducible.
     """
-    if not isinstance(p, int) or p < 3 or not _is_prime(p):
+    if not isinstance(p, int) or p < 3 or _prime_factors(p) != [p]:
         raise ValueError(f"characteristic must be an odd prime, got {p}")
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"extension degree must be >= 1, got {k}")
@@ -369,12 +377,7 @@ def _modulus_irreducible(p: int, mod: tuple[int, ...]) -> bool:
 
 def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     for n in range(p**k):
-        digits = []
-        e = n
-        for _ in range(k):
-            e, r = divmod(e, p)
-            digits.append(r)
-        cand = tuple(digits) + (1,)
+        cand = tuple(n // p**i % p for i in range(k)) + (1,)
         if _modulus_irreducible(p, cand):
             return cand
     raise AssertionError("no irreducible polynomial found (unreachable)")

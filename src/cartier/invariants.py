@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .fields import FieldElement
+from .fields import FieldElement, FieldSpec
 from .poly import Poly, half_power, is_squarefree
 
 __all__ = [
@@ -61,25 +61,17 @@ class Invariants(NamedTuple):
         return self.genus - self.rank_a
 
 
-class CartierMatrix:
+class CartierMatrix(NamedTuple):
     """The g x g matrix [kappa_{p*i - j}]; ``entries`` is 0-indexed, so
     entries[i][j] = kappa_{p*(i+1) - (j+1)}."""
 
-    __slots__ = ("spec", "g", "entries")
-
-    def __init__(self, spec, g: int, entries: tuple[tuple[FieldElement, ...], ...]):
-        self.spec = spec
-        self.g = g
-        self.entries = entries
+    spec: FieldSpec
+    g: int
+    entries: tuple[tuple[FieldElement, ...], ...]
 
     def entry(self, i: int, j: int) -> FieldElement:
         """1-indexed accessor matching the usual notation a_ij."""
         return self.entries[i - 1][j - 1]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CartierMatrix):
-            return NotImplemented
-        return self.spec == other.spec and self.entries == other.entries
 
     def __repr__(self) -> str:
         rows = "; ".join(

@@ -20,6 +20,8 @@ from typing import Iterable, Sequence
 from .fields import (
     FieldElement,
     FieldSpec,
+    _power,
+    _prime_factors,
     _reduce_coords,
     _reduced,
     _split_csv,
@@ -149,14 +151,7 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = Poly.one(self.spec)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, Poly.one(self.spec))
 
     def __call__(self, x: FieldElement) -> FieldElement:
         if x.spec is not self.spec and x.spec != self.spec:
@@ -230,8 +225,9 @@ def parse_poly(spec: FieldSpec, text: str) -> Poly:
 def half_power(f: Poly) -> Poly:
     """f^((p-1)/2), the generator of the Cartier coefficients kappa_i.
 
-    Square-and-multiply; the repeated-product form lives in the tests as the
-    independent oracle.
+    Square-and-multiply by the loop every power in this layer shares
+    (``fields._power``), which forms no square that it does not read; the
+    repeated-product form lives in the tests as the independent oracle.
     """
     if f.is_zero:
         raise ValueError("half_power of the zero polynomial")
@@ -272,28 +268,7 @@ def is_squarefree(f: Poly) -> bool:
 
 
 def _powmod(base: Poly, n: int, mod: Poly) -> Poly:
-    result = Poly.one(base.spec) % mod
-    b = base % mod
-    while n:
-        if n & 1:
-            result = (result * b) % mod
-        b = (b * b) % mod
-        n >>= 1
-    return result
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    return _power(base % mod, n, Poly.one(base.spec) % mod, lambda a, b: a * b % mod)
 
 
 def is_irreducible(f: Poly) -> bool:

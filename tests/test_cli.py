@@ -511,6 +511,36 @@ class TestArgumentErrors:
         assert (code, out) == (2, "")
         assert err.startswith("error: invalid-input:") and "seed" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search", "--p", "5", "--genus", "2", "--fix", "c0=0,c5=1",
+             "--exhaustive", "--target-a", "1"],
+            ["verify", "theorem1", "--p", "3", "--genus", "3"],
+            ["reproduce", "--script", "2"],
+        ],
+        ids=["search", "verify-theorem1", "reproduce-script2"],
+    )
+    @pytest.mark.parametrize("where", ["missing-parent", "directory"])
+    def test_unwritable_out_exits_2_before_searching(
+        self, capsys, monkeypatch, tmp_path, argv, where
+    ):
+        import cartier.cli as cli
+        import cartier.search as search
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("search started despite an unwritable --out")
+
+        monkeypatch.setattr(cli, "run_search", no_search)
+        monkeypatch.setattr(search, "run_search", no_search)
+        out = tmp_path
+        if where == "missing-parent":
+            out = tmp_path / "no" / "such" / "r.json"
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error: invalid-input: --out")
+        assert list(tmp_path.iterdir()) == []
+
     def test_negative_budget_exits_2(self, capsys):
         code, out, err = run_cli(
             capsys,

@@ -1,4 +1,6 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -13,7 +15,9 @@ from cartier import (
     parse_field_spec,
     random_element,
 )
-from cartier.fields import _draws_below, _rand_below
+from cartier.fields import _draws_below, _power, _prime_factors, _rand_below
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "cartier"
 
 
 class TestMakeField:
@@ -50,6 +54,14 @@ class TestMakeField:
     def test_rejects_non_monic(self):
         with pytest.raises(ValueError, match="monic"):
             make_field(3, 2, [1, 0, 2])
+
+    @pytest.mark.parametrize("p", [1, 9, 15, 25, 1001, 7 * 11 * 13 * 17])
+    def test_rejects_odd_composites_and_one(self, p):
+        with pytest.raises(ValueError, match="odd prime"):
+            make_field(p)
+
+    def test_accepts_a_prime_past_1000(self):
+        assert make_field(1009).order == 1009
 
     def test_degree_three_default(self):
         f = make_field(3, 3)
@@ -110,6 +122,54 @@ class TestPow:
     def test_zero_exponent_is_one(self, F7, F9):
         assert F7.element(3) ** 0 == F7.one
         assert F9.zero ** 0 == F9.one  # 0^0 defined as 1
+
+
+class TestSharedPowerLoop:
+    def test_power_counts_its_products(self):
+        # right-to-left square-and-multiply: one product per set bit and one
+        # square per bit after the lowest, none past the top bit
+        for n in range(65):
+            calls = []
+
+            def mul(a, b):
+                calls.append((a, b))
+                return a * b
+
+            assert _power(3, n, 1, mul) == 3**n
+            assert len(calls) == max(0, n.bit_count() + n.bit_length() - 1)
+
+    def test_prime_factors_match_a_sieve(self):
+        limit = 3000
+        smallest = list(range(limit + 1))
+        for d in range(2, int(limit**0.5) + 1):
+            if smallest[d] == d:
+                for m in range(d * d, limit + 1, d):
+                    smallest[m] = min(smallest[m], d)
+        for n in range(1, limit + 1):
+            expected = []
+            m = n
+            while m > 1:
+                d = smallest[m]
+                expected.append(d)
+                while m % d == 0:
+                    m //= d
+            assert _prime_factors(n) == expected, n
+
+
+def test_object_layer_imports_only_itself():
+    # the kernel and the engine are cross-checked against fields, poly and
+    # invariants, so those three must not reach back into them
+    layer = {"fields", "poly", "invariants"}
+    for name in sorted(layer):
+        tree = ast.parse((SRC / f"{name}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                assert node.level == 1 and node.module in layer, (name, node.module)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = [a.name for a in node.names] if isinstance(
+                    node, ast.Import
+                ) else [node.module]
+                assert all(m.split(".")[0] != "cartier" for m in modules), name
 
 
 class TestFrobeniusAndRoots:

@@ -9,6 +9,7 @@ from cartier import (
     BudgetExceededError,
     Poly,
     SearchSpec,
+    cartier_matrix,
     enumerate_field,
     forward_form_check,
     invariants,
@@ -719,6 +720,7 @@ def records():
         "FieldSpec": (F5, "k", 2),
         "Curve": (make_curve(f), "smooth", False),
         "Invariants": (invariants(f), "genus", 3),
+        "CartierMatrix": (cartier_matrix(make_curve(f)), "g", 3),
         "SearchSpec": (rep.spec, "prefilter", False),
         "SearchCounts": (rep.counts, "squarefree", 0),
         "Witness": (rep.witnesses[0], "f", f),
@@ -732,8 +734,8 @@ class TestRecords:
 
     @pytest.mark.parametrize(
         "name",
-        ["FieldSpec", "Curve", "Invariants", "SearchSpec", "SearchCounts",
-         "Witness", "SearchReport", "ConsistencyReport"],
+        ["FieldSpec", "Curve", "Invariants", "CartierMatrix", "SearchSpec",
+         "SearchCounts", "Witness", "SearchReport", "ConsistencyReport"],
     )
     def test_value_semantics(self, records, name):
         record, attr, value = records[name]
