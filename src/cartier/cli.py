@@ -208,7 +208,14 @@ def _json(doc: dict) -> str:
 
 def _report_text(report: SearchReport, as_csv: bool) -> str:
     if as_csv:
-        return "\n".join(",".join(row) for row in report.csv_rows())
+        # RFC 4180 quoting, so the commas of F_{p^k} elements stay in one
+        # field; imported here, so that only --csv runs pay for csv
+        import csv
+        import io
+
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows(report.csv_rows())
+        return out.getvalue().removesuffix("\n")  # _emit ends the last line
     return _json(report.to_dict())
 
 

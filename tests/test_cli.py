@@ -1,6 +1,9 @@
+import csv
+import io
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -169,6 +172,31 @@ class TestSearchCommand:
         p, k, genus, coeffs, a, pr, smooth = lines[1].split(",")
         assert (p, k, genus, a, smooth) == ("3", "1", "2", "1", "true")
         assert coeffs.count(";") == 5
+
+    @pytest.mark.parametrize(
+        "field,genus,target",
+        [(["--p", "3", "--k", "2"], 2, "1"), (["--p", "7", "--k", "2"], 1, "0")],
+    )
+    def test_csv_rows_over_extension_fields_parse(self, capsys, field, genus, target):
+        # extension-field coefficients print as "[a,b]"; each row's coeffs
+        # stays one quoted field
+        degree = 2 * genus + 1
+        code, out, _ = run_cli(
+            capsys,
+            "search", *field, "--genus", str(genus),
+            "--fix", f"c0=0,c1=1,c{degree}=1",
+            "--exhaustive", "--target-a", target, "--limit", "5", "--csv",
+        )
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["p", "k", "genus", "coeffs", "a_number", "p_rank", "smooth"]
+        assert len(rows) == 6
+        for p, k, g, coeffs, a, pr, smooth in rows[1:]:
+            assert (p, k, g, a) == (field[1], "2", str(genus), target)
+            elements = coeffs.split(";")
+            assert len(elements) == degree + 1
+            assert all(re.fullmatch(r"\[\d,\d\]", el) for el in elements)
+        assert '"[0,0];[1,0];' in out and "\r" not in out
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"

@@ -21,16 +21,19 @@ from cartier import (
     run_search,
 )
 from cartier._kernel import (
+    TableKernel,
     _irreducibles,
     end_rows,
     end_rows_rank_le_1,
     get_kernel,
+    kronecker_lane,
     matrix_rows,
     rank_one_survivors,
     rows_could_be_rank_le_1,
     squarefree_count,
     squarefree_test,
 )
+from cartier.cli import main
 from cartier.invariants import p_rank as obj_p_rank
 from cartier.invariants import rank as obj_rank
 from cartier.search import DEFAULT_BUDGET, _affine_form, _make_tasks
@@ -234,12 +237,79 @@ def test_kernel_products_match_object_layer(p, k):
         assert kern.poly_pow_trunc(a, 0, n) == kern.poly_pow(a, 0) == [1]
 
 
+@pytest.mark.parametrize(
+    "p,n,e,size",
+    [
+        # B = n^(e-1) (p-1)^e bounds the unreduced coefficients of a^e
+        (5, 15, 2, 1),  # B = 240
+        (5, 16, 2, 2),  # B = 256, which (4 + 4x + ... + 4x^15)^2 reaches
+        (17, 1, 2, 2),  # B = 256 = 16^2
+        (5, 31, 3, 2),  # B = 61 504
+        (5, 32, 3, 4),  # B = 2^16
+        (5, 15, 6, 4),  # B = 3.1 * 10^9
+        (5, 16, 6, 8),  # B = 2^32
+        (17, 2, 12, 8),  # B = 2^59
+        (3, 3, 22, 8),  # B = 4.4 * 10^16
+        (17, 2, 13, 0),  # B = 2^64: tables
+        (3, 4, 22, 0),  # B = 2^64
+        (131, 6, 65, 0),  # the half power at p = 131
+        (5, 4, 0, 0),  # 1, by the tables
+        (131, 4, 1, 0),  # a copy of a, by the tables
+    ],
+)
+def test_kronecker_power_at_lane_boundaries(p, n, e, size):
+    F = make_field(p)
+    kern = get_kernel(p, 1, F.modulus)
+    assert kronecker_lane(p, n, e) == size
+    rng = random.Random(p * n * e)
+    inputs = [
+        [p - 1] * n,  # the largest unreduced coefficients
+        [rng.randrange(p) for _ in range(n)],
+        [0] * (n // 2) + [rng.randrange(1, p) for _ in range(n - n // 2)],
+        [rng.randrange(1, p) for _ in range(n - n // 2)] + [0] * (n // 2),
+        [0] * n,
+    ]
+    full = (n - 1) * e + 1
+    for a in inputs:
+        power = kern.poly_pow(a, e)
+        assert power is not a
+        assert power == kern.poly_pow_trunc(a, e, full), a
+        assert power == _encodings(Poly.from_ints(F, a) ** e, full), a
+
+
+def test_witness_heavy_report_is_the_same_by_tables(capsys, monkeypatch):
+    # the benchmark's witness-heavy search: a = 1 and p-rank 2 at p = 7,
+    # genus 3, where every squarefree candidate's half power is a cube by
+    # Kronecker substitution, and its whole report with the tables instead
+    argv = [
+        "search", "--p", "7", "--genus", "3", "--fix", "c0=0,c1=1,c2=1,c7=1",
+        "--exhaustive", "--require-smooth", "--target-a", "1",
+        "--target-p-rank", "2", "--limit", "100000000", "--threads", "1",
+    ]
+    assert kronecker_lane(7, 8, 3) == 2
+    assert main(argv) == 0
+    by_kronecker = capsys.readouterr().out
+    monkeypatch.setattr(
+        TableKernel,
+        "poly_pow",
+        lambda self, a, e: self.poly_pow_trunc(a, e, (len(a) - 1) * e + 1),
+    )
+    assert main(argv) == 0
+    by_tables = capsys.readouterr().out
+    assert by_tables == by_kronecker
+    assert '"matched": 247' in by_kronecker
+
+
 def test_scan_counts_match_object_brute_force():
     # the whole engine (per-candidate and rank-one paths, the sieve's
-    # squarefree count) against a straight object-layer loop
-    for (p, k, genus) in [(3, 1, 2), (3, 2, 2)]:
+    # squarefree count) against a straight object-layer loop.  At p = 3 the
+    # half power is f itself; at p = 5 and 7 scan forms it: a = 0 and a = g
+    # on the per-candidate path, a = g - 1 on the join's survivors, and a
+    # p-rank target with no a target on every squarefree candidate
+    for (p, k, genus) in [(3, 1, 2), (3, 2, 2), (5, 1, 2), (7, 1, 2)]:
         F = make_field(p, k)
         by_a = {}
+        by_p_rank = {}
         n_sq = 0
         degree = 2 * genus + 1
         for cs in itertools.product(range(F.order), repeat=degree - 1):
@@ -248,6 +318,7 @@ def test_scan_counts_match_object_brute_force():
             if inv.smooth:
                 n_sq += 1
                 by_a[inv.a_number] = by_a.get(inv.a_number, 0) + 1
+                by_p_rank[inv.p_rank] = by_p_rank.get(inv.p_rank, 0) + 1
         for target in range(genus + 1):
             spec = monic_odd_family(F, genus, target_a=target, require_smooth=True)
             counts = run_search(spec).counts
@@ -255,6 +326,8 @@ def test_scan_counts_match_object_brute_force():
             assert counts.squarefree == n_sq, (p, k, target)
             assert counts.p_rank_matched == by_a.get(target, 0), (p, k, target)
         assert _sieve(spec) == n_sq
+        spec = monic_odd_family(F, genus, target_p_rank=1, require_smooth=True)
+        assert run_search(spec).counts.p_rank_matched == by_p_rank.get(1, 0), (p, k)
 
 
 def _check_join(p, k, degree, fixed, free, factor, survivors, smooth):
