@@ -27,11 +27,11 @@ against F's roots and the rest of F and never forms f for a candidate that
 fails.  Rows 1 and
 g need f^e (e = (p-1)/2) below x^p and the power of f's reversal below
 x^(e+1).  Both come from Miller's power-series recurrence, which divides
-only by m < p and so is exact in characteristic p; row 1 first shifts out
-f's low zeros, so that the series it expands starts at a unit.
-``end_rows_rank_le_1`` computes row g, then row 1 from its last column
-down, and stops at the first nonzero 2x2 minor; ``end_rows`` and
-``rows_could_be_rank_le_1`` are its reference.
+only by m < p and so is exact in characteristic p, one coefficient at a
+time; row 1 first shifts out f's low zeros (``_row1_series``).
+``end_rows_rank_le_1`` computes row g, then reads row 1's series once from
+its last column down, and stops at the first nonzero 2x2 minor;
+``end_rows`` and ``rows_could_be_rank_le_1`` are its reference.
 
 A task is a top-coefficient shard of an exhaustive search or a piece of
 assignments: random draws or survivors of ``rank_one_survivors``, the
@@ -121,9 +121,6 @@ class TableKernel:
 
     # -- polynomial primitives --
 
-    def poly_mul(self, a, b):
-        return self.poly_mul_trunc(a, b, len(a) + len(b) - 1)
-
     def poly_mul_trunc(self, a, b, n):
         """The product's coefficients below x^n."""
         add = self.add
@@ -166,10 +163,11 @@ class TableKernel:
         return result
 
     def poly_pow_low(self, a, e, n):
-        """a^e below x^n, as n coefficients, for e >= 1, n <= p and a[0]
-        nonzero, by Miller's recurrence (Knuth, TAOCP vol. 2, 4.7):
-        m a_0 c_m = sum_k ((e+1)k - m) a_k c_(m-k).  Every m < n <= p is a
-        unit, so the recurrence is exact."""
+        """a^e's coefficients c_0 .. c_(n-1), one at a time, for e >= 1,
+        1 <= n <= p and a[0] nonzero, by Miller's recurrence (Knuth, TAOCP
+        vol. 2, 4.7): m a_0 c_m = sum_k ((e+1)k - m) a_k c_(m-k).  Every
+        m < n <= p is a unit, so the recurrence is exact; a reader that stops
+        early saves the rest."""
         add = self.add
         mul = self.mul
         inv = self.inv
@@ -178,6 +176,7 @@ class TableKernel:
         c0 = a[0]
         for _ in range(e - 1):
             c0 = ma0[c0]
+        yield c0
         c = [c0]
         top = len(a) - 1
         for m in range(1, n):
@@ -187,8 +186,9 @@ class TableKernel:
                 cmk = c[m - k]
                 if ak and cmk:
                     acc = add[acc][mul[((e + 1) * k - m) % p][mul[ak][cmk]]]
-            c.append(mul[acc][inv[ma0[m]]])
-        return c
+            cm = mul[acc][inv[ma0[m]]]
+            yield cm
+            c.append(cm)
 
     def is_squarefree(self, f):
         """gcd(f, f') constant and f' nonzero; f must have exact degree
@@ -339,37 +339,44 @@ def matrix_rows(kappa, g, p):
     ]
 
 
-def _row1(kern, low, g):
-    """Row 1 of the matrix from a list of f's low coefficients, f[:p] or a
-    prefix of it past which nothing changes f^e below x^p, e = (p-1)/2.
-    With v low zeros, f^e below x^p is x^(ev) (f/x^v)^e below x^(p-ev),
-    and (f/x^v)^e comes from Miller's recurrence (``poly_pow_low``)."""
+def _row1_series(kern, f):
+    """(n, row 1's n series coefficients) from f, or from a prefix of f
+    past which nothing changes f^e below x^p, e = (p-1)/2.  With v low
+    zeros in f[:p], f^e below x^p is x^(ev) (f/x^v)^e below x^n, n = p - ev,
+    and (f/x^v)^e comes from ``poly_pow_low``; row 1 holds its c_m at column
+    n - 1 - m.  A zero row 1 (f[:p] = 0 or ev >= p) gives (0, ())."""
     p = kern.char
     e = (p - 1) // 2
+    end = min(p, len(f))
     v = 0
-    while v < len(low) and not low[v]:
+    while v < end and not f[v]:
         v += 1
     n = p - e * v
-    kappa = kern.poly_pow_low(low[v:], e, n) if v < len(low) and n > 0 else []
-    # row 1 reads f^e from x^(p-1) down, which is (f/x^v)^e from x^(n-1) down
-    return (kappa[::-1] + [0] * g)[:g]
+    if v == end or n <= 0:
+        return 0, ()
+    return n, kern.poly_pow_low(f[v:end], e, n)
 
 
-def _rowg(kern, high, g):
-    """Row g of the matrix from f's top (p+1)/2 coefficients, ascending.
-    Reversed, they start at f's leading coefficient, which is nonzero, and
-    the power of the reversal below x^(e+1) ends row g."""
+def _row1(kern, f, g):
+    """Row 1 of the matrix from f or a prefix of it (``_row1_series``)."""
+    _, series = _row1_series(kern, f)
+    return ([*series][::-1] + [0] * g)[:g]
+
+
+def _rowg(kern, f, g):
+    """Row g of the matrix from f or its top (p+1)/2 coefficients.  Those,
+    reversed, start at f's leading coefficient, which is nonzero, and the
+    power of the reversal below x^(e+1) ends row g."""
     e = (kern.char - 1) // 2
-    kappa = kern.poly_pow_low(high[::-1], e, e + 1)
-    return ([0] * g + kappa)[-g:]
+    row = [0] * g
+    row += kern.poly_pow_low(f[: -(e + 2) : -1], e, e + 1)
+    return row[-g:]
 
 
 def end_rows(kern, f, g):
     """Rows 1 and g of the matrix from truncated powers of f and of its
-    reversal; used by the rank-1 prefilter without a full expansion."""
-    p = kern.char
-    half = (p + 1) // 2
-    return _row1(kern, f[:p], g), _rowg(kern, f[-half:], g)
+    reversal; the reference for ``end_rows_rank_le_1``."""
+    return _row1(kern, f, g), _rowg(kern, f, g)
 
 
 def rows_could_be_rank_le_1(kern, r1, rg):
@@ -394,39 +401,29 @@ def end_rows_rank_le_1(kern, f, g):
     """``rows_could_be_rank_le_1(kern, *end_rows(kern, f, g))``, stopping at
     the first nonzero 2x2 minor.  Row g comes first; with j its last nonzero
     column, row 1 is proportional to it exactly when row 1 is zero past j
-    and r1_j rg_i = rg_j r1_i below j.  Row 1 reads Miller's series from its
-    last column down, so the series up to column j - 1 decides the first
-    minor below j, and the rest is expanded only when that minor vanishes."""
-    p = kern.char
-    e = (p - 1) // 2
-    rg = _rowg(kern, f[-(e + 1) :], g)
+    and r1_j rg_i = rg_j r1_i below j.  Row 1's series is read once, from
+    row 1's last column down, and only up to the first nonzero minor."""
+    rg = _rowg(kern, f, g)
     j = g - 1
     while j >= 0 and not rg[j]:
         j -= 1
-    v = 0  # f's low zeros; f[v] is nonzero or v = p
-    while v < p and not f[v]:
-        v += 1
-    n = p - e * v  # row 1 holds (f/x^v)^e's c_m at column n - 1 - m
-    if j < 0 or n <= 0:
-        return True  # a zero row
+    if j < 0:
+        return True  # a zero row g; a zero row 1 has no series
+    n, series = _row1_series(kern, f)
     mul = kern.mul
     scale_g = mul[rg[j]]
-    length = min(n, max(1, n - j + 1))
-    while True:
-        scale_1 = mul[0]  # times r1_j, once column j is reached
-        col = n
-        for c in kern.poly_pow_low(f[v:p], e, length):
-            col -= 1
-            if col > j:
-                if c and col < g:
-                    return False
-            elif col == j:
-                scale_1 = mul[c]
-            elif scale_g[c] != scale_1[rg[col]]:
+    scale_1 = mul[0]  # times r1_j, once column j is reached
+    col = n
+    for c in series:
+        col -= 1
+        if col > j:
+            if c and col < g:
                 return False
-        if length == n:
-            return True
-        length = n
+        elif col == j:
+            scale_1 = mul[c]
+        elif scale_g[c] != scale_1[rg[col]]:
+            return False
+    return True
 
 
 def squarefree_test(kern, factor):
@@ -627,7 +624,8 @@ def _irreducibles(kern, top):
             bs = list(monics(d - k, k))
             for a in monics(k, k):  # the irreducibles of degree k
                 for b in bs:
-                    found[sum(map(operator.mul, kern.poly_mul(a, b), powers[:d]))] = k
+                    digits = kern.poly_mul_trunc(a, b, d)  # a b below x^d
+                    found[sum(map(operator.mul, digits, powers))] = k
         least.append(found.replace(b"\0", bytes([d])))  # unmarked: irreducible
         yield monics(d, d)
 
@@ -678,7 +676,7 @@ def squarefree_count(kern, f0, basis):
     q = kern.q
     add = kern.add
     mul = kern.mul
-    poly_mul = kern.poly_mul
+    poly_mul_trunc = kern.poly_mul_trunc
     degree = len(f0) - 1
     top = degree // 2
     system = _annihilator(kern, f0, basis)
@@ -707,7 +705,7 @@ def squarefree_count(kern, f0, basis):
             d, sq = small[j]
             if d > budget:
                 break
-            prod = poly_mul(sq, hh)
+            prod = poly_mul_trunc(sq, hh, degree + 1)
             n = solutions(prod)
             if n:
                 acc += sign * n + walk(j, budget - d, prod, -sign)
@@ -717,7 +715,7 @@ def squarefree_count(kern, f0, basis):
     total = q ** len(basis)
     for d, hs in enumerate(_irreducibles(kern, top), 1):
         for h in hs:
-            hh = poly_mul(h, h)
+            hh = poly_mul_trunc(h, h, degree + 1)
             n = solutions(hh)
             if n:
                 total += walk(len(small), top - d, hh, 1) - n
@@ -760,7 +758,7 @@ def scan(task: dict) -> dict:
     for idx, enc in task["fixed"]:
         u[idx] = enc
 
-    poly_mul = kern.poly_mul
+    poly_mul_trunc = kern.poly_mul_trunc
     squarefree = squarefree_test(kern, factor)
     poly_pow = kern.poly_pow
     rank = kern.rank
@@ -792,7 +790,7 @@ def scan(task: dict) -> dict:
             n_sq += 1
         if require_smooth and not sq:
             continue
-        f = poly_mul(factor, u) if factor else u
+        f = poly_mul_trunc(factor, u, degree + 1) if factor else u
 
         if filtered:
             if prefilter and not end_rows_rank_le_1(kern, f, g):

@@ -8,13 +8,15 @@ byte-identical across runs and thread counts; timing is reported on stderr.
 
 Exit codes: 0 ok, 1 verification failure, 2 invalid input, 3 unsupported
 input (even-degree model), 4 candidate budget exceeded, 5 out of resources
-(a worker process died, memory ran out or the reader closed stdout), 6
-internal error (the object layer rejected a witness the kernel found).
+(a worker process died or could not start, memory, disk space, disk quota
+or file descriptors ran out, or the reader closed stdout), 6 internal error
+(the object layer rejected a witness the kernel found).
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import re
@@ -43,6 +45,14 @@ from .suites import (
 )
 
 __all__ = ["main"]
+
+# an OSError with one of these is out of resources, not invalid input: no
+# process or memory to start a pool worker, no disk space or quota for the
+# report, no file descriptor left, or stdout's reader gone
+_RESOURCE_ERRNOS = frozenset({
+    errno.EAGAIN, errno.ENOMEM, errno.ENOSPC, errno.EDQUOT, errno.EMFILE,
+    errno.ENFILE, errno.EPIPE,
+})
 
 
 def _field_args(parser: argparse.ArgumentParser) -> None:
@@ -199,7 +209,12 @@ def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text + "\n")
     else:
-        print(text, flush=True)  # a closed reader shows here, not at exit
+        try:
+            print(text, flush=True)  # a closed reader shows here, not at exit
+        except OSError:
+            # the report stays buffered: send the exit flush to /dev/null
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise
 
 
 def _json(doc: dict) -> str:
@@ -387,15 +402,16 @@ def main(argv: list[str] | None = None) -> int:
     except RevalidationError as exc:
         print(f"error: internal: {exc}", file=sys.stderr)
         return 6
-    except (BrokenPipeError, MemoryError, *_pool_errors()) as exc:
-        if isinstance(exc, BrokenPipeError):  # reader gone: the exit flush goes nowhere
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except (MemoryError, *_pool_errors()) as exc:
         print(f"error: resource: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 5
     except UnsupportedDegreeError as exc:
         print(f"error: unsupported: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
+        if isinstance(exc, OSError) and exc.errno in _RESOURCE_ERRNOS:
+            print(f"error: resource: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 5
         print(f"error: invalid-input: {exc}", file=sys.stderr)
         return 2
 

@@ -1,4 +1,5 @@
 import csv
+import errno
 import io
 import json
 import multiprocessing
@@ -788,6 +789,63 @@ class TestFailureExitCodes:
             os.close(write)
         assert res.returncode == 5
         error = "error: resource: BrokenPipeError: [Errno 32] Broken pipe\n"
+        assert res.stderr == error
+
+    def test_pool_without_processes_exits_5(self, capsys, monkeypatch, pool_starts):
+        # fork fails with EAGAIN as the pool starts its workers; the pool
+        # here raises it from map, before any process starts
+        import concurrent.futures
+
+        import cartier.search as search
+
+        class Exhausted(concurrent.futures.ProcessPoolExecutor):
+            def map(self, *args, **kwargs):
+                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Exhausted)
+        monkeypatch.setattr(search, "_PIECE", 2)
+        monkeypatch.setattr(search, "_WORKER_CANDIDATES", 1)
+        code, out, err = run_cli(capsys, *self.WITNESS_SEARCH, "--threads", "2")
+        assert (code, out) == (5, "")
+        assert err.startswith("error: resource: BlockingIOError: [Errno 11]")
+        assert pool_starts == [2]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "error, code, kind",
+        [(errno.ENOSPC, 5, "resource: OSError"), (errno.EACCES, 2, "invalid-input")],
+    )
+    def test_failed_report_write_exit_code(
+        self, capsys, monkeypatch, tmp_path, error, code, kind
+    ):
+        # a full disk is out of resources; a refused write stays invalid input
+        def refused(self, *args, **kwargs):
+            raise OSError(error, os.strerror(error))
+
+        monkeypatch.setattr(Path, "write_text", refused)
+        out = tmp_path / "r.json"
+        exit_code, stdout, err = run_cli(
+            capsys, *self.WITNESS_SEARCH, "--out", str(out)
+        )
+        assert (exit_code, stdout) == (code, "")
+        assert err == f"error: {kind}: [Errno {error}] {os.strerror(error)}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("invariants", "--p", "3", "--poly", "0,1,0,1"), WITNESS_SEARCH],
+        ids=["invariants", "search"],
+    )
+    def test_full_stdout_exits_5(self, argv):
+        # the report's write to a full device fails, and the exit flush of
+        # the still-buffered report prints nothing more
+        with open("/dev/full", "w") as full:
+            res = subprocess.run(
+                [sys.executable, "-m", "cartier", *argv],
+                stdout=full, stderr=subprocess.PIPE, text=True, timeout=120,
+                env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            )
+        assert res.returncode == 5
+        error = "error: resource: OSError: [Errno 28] No space left on device\n"
         assert res.stderr == error
 
     def test_dead_worker_on_random_path_exits_5(self, capsys, monkeypatch):

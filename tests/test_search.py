@@ -169,6 +169,41 @@ class TestPrefilter:
         assert doc["matched"] == 0
         assert doc["counts"]["squarefree"] > 0
 
+    @pytest.mark.parametrize(
+        "p, degree, fixed, samples, seed, factor, require_smooth, matched",
+        [
+            # F_25, genus 3, singular models counted
+            (5, 7, {0: 0, 7: 1}, 20000, 2, False, False, 2),
+            # F_49, f = x(x-1)h with h3 fixed
+            (7, 5, {3: 1}, 3000, 5, True, True, 49),
+        ],
+    )
+    def test_random_end_row_test_over_extension_field(
+        self, p, degree, fixed, samples, seed, factor, require_smooth, matched
+    ):
+        # random draws over F_{p^2}, p >= 5, take the per-candidate end-row
+        # test; the whole report is its --no-prefilter twin's at one and two
+        # threads, but for the echoed flag
+        F = make_field(p, 2)
+        spec = SearchSpec(
+            field=F,
+            degree=degree,
+            fixed={i: F.element(v) for i, v in fixed.items()},
+            samples=samples,
+            seed=seed,
+            target_a=(degree - 1) // 2 - 1,
+            require_smooth=require_smooth,
+            factor=Poly(F, (F.zero, -F.one, F.one)) if factor else None,
+        )
+        assert _rank_one_filter(spec) == "scan"
+        off = spec._replace(prefilter=False)
+        expected = run_search(off, threads=2).to_dict()
+        expected["spec"]["prefilter"] = True
+        assert expected["matched"] == matched
+        for threads in (1, 2):
+            doc = run_search(spec, threads=threads).to_dict()
+            assert json.dumps(doc) == json.dumps(expected)
+
     def test_genus_one_skips_the_join(self, F7):
         # the 1 x 1 matrix has rank <= 1 whatever f is, so the join could
         # reject nothing: a genus-1 search checks every candidate
