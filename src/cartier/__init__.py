@@ -45,6 +45,7 @@ from .search import (
     SearchReport,
     SearchSpec,
     Witness,
+    WorkerDiedError,
     revalidate_report_dict,
     run_search,
 )

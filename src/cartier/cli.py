@@ -6,11 +6,16 @@ Structured reports (JSON, or CSV witness rows with --csv) go to stdout or
 clean.  Reports never contain wall-clock timing, which keeps identical flags
 byte-identical across runs and thread counts; timing is reported on stderr.
 
+A report for --out is written to a temporary file beside it and renamed
+over it only once the write has succeeded, so a failed run leaves --out as it
+was.
+
 Exit codes: 0 ok, 1 verification failure, 2 invalid input, 3 unsupported
 input (even-degree model), 4 candidate budget exceeded, 5 out of resources
-(a worker process died or could not start, memory, disk space, disk quota
-or file descriptors ran out, or the reader closed stdout), 6 internal error
-(the object layer rejected a witness the kernel found).
+(a worker process ended before answering or could not be forked, memory,
+disk space, disk quota, the file-size limit or file descriptors ran out, or
+the reader closed stdout), 6 internal error (the object layer rejected a
+witness the kernel found, on this process or on a worker).
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from .search import (
     RevalidationError,
     SearchReport,
     SearchSpec,
+    WorkerDiedError,
     run_search,
 )
 from .suites import (
@@ -47,11 +53,11 @@ from .suites import (
 __all__ = ["main"]
 
 # an OSError with one of these is out of resources, not invalid input: no
-# process or memory to start a pool worker, no disk space or quota for the
-# report, no file descriptor left, or stdout's reader gone
+# process or memory to fork a pool worker, no disk space, quota or file size
+# left for the report, no file descriptor left, or stdout's reader gone
 _RESOURCE_ERRNOS = frozenset({
-    errno.EAGAIN, errno.ENOMEM, errno.ENOSPC, errno.EDQUOT, errno.EMFILE,
-    errno.ENFILE, errno.EPIPE,
+    errno.EAGAIN, errno.ENOMEM, errno.ENOSPC, errno.EDQUOT, errno.EFBIG,
+    errno.EMFILE, errno.ENFILE, errno.EPIPE,
 })
 
 
@@ -205,9 +211,28 @@ def _check_out(out: str | None) -> None:
         )
 
 
+def _write_report(out: str, text: str) -> None:
+    """Write ``text`` to a new file beside ``out`` and rename it over
+    ``out`` once the write has succeeded; a device or FIFO is written in
+    place."""
+    path = Path(out).resolve()  # a symlink stays, and its target is replaced
+    if path.exists() and not path.is_file():
+        path.write_text(text)
+        return
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    # O_EXCL: a name that already exists, as a file or a link, is not ours
+    os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink()
+        raise
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text + "\n")
+        _write_report(out, text + "\n")
     else:
         try:
             print(text, flush=True)  # a closed reader shows here, not at exit
@@ -373,13 +398,6 @@ def _cmd_reproduce(args) -> int:
     return code
 
 
-def _pool_errors() -> tuple[type[Exception], ...]:
-    # a pool that was never imported cannot have broken; an except clause
-    # evaluates this only when an exception reaches it
-    pool = sys.modules.get("concurrent.futures.process")
-    return (pool.BrokenProcessPool,) if pool is not None else ()
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -402,7 +420,7 @@ def main(argv: list[str] | None = None) -> int:
     except RevalidationError as exc:
         print(f"error: internal: {exc}", file=sys.stderr)
         return 6
-    except (MemoryError, *_pool_errors()) as exc:
+    except (MemoryError, WorkerDiedError) as exc:
         print(f"error: resource: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 5
     except UnsupportedDegreeError as exc:

@@ -18,7 +18,13 @@ reports are the per-candidate path's, and ``_rank_one_filter`` alone decides
 where the end-row test runs.  A pool gets one worker per
 ``_WORKER_CANDIDATES`` candidates checked, up to the thread count and the
 task count, so a smaller search runs in this process at any thread count.
-Task results merge in task order: counts add, witness lists concatenate and
+The pool (``_pool.ForkPool``) is forked once per search, after the tasks
+are made, and serves both the scan and the witness re-validation: each
+worker inherits the task list, so a scan request is a task's index and
+only witness chunks and replies are pickled.  It hands the next request to
+whichever worker answered and yields replies in request order; where
+``os.fork`` does not exist the search runs in this process.  Task results
+merge in task order: counts add, witness lists concatenate and
 truncate.  ``enumerated`` is the spec's, and ``shard_count`` never counts
 pieces.  ``elapsed_ms`` is the one non-reproducible field and is never
 serialized.
@@ -26,12 +32,12 @@ serialized.
 
 from __future__ import annotations
 
-import functools
+import os
 import random
 import sys
 import time
 from array import array
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Mapping, NamedTuple
 
 from . import _kernel
@@ -46,6 +52,7 @@ __all__ = [
     "DEFAULT_BUDGET",
     "BudgetExceededError",
     "RevalidationError",
+    "WorkerDiedError",
     "SearchSpec",
     "SearchCounts",
     "Witness",
@@ -65,10 +72,11 @@ _RANDOM_SHARD_SAMPLES = 100_000
 # balance even a 2 x 10^4-sample search
 _PIECE = 2_500
 # the candidates that repay one pool worker: on a 2-core Xeon host the
-# pool's import, start and teardown cost about 40-60 ms, and the
+# concurrent.futures pool's import, start and teardown cost about 40-60 ms
+# (the fork pool's about 10-12 ms, its import included), and the
 # per-candidate path 15-30 us a candidate (kernel.scan_us_per_cand of
 # perfbench/run.py --trace 1 on script2-f49 and witness-heavy), so a worker
-# needs on the order of 1 000 candidates to pay for itself; a search of at
+# needed on the order of 1 000 candidates to pay for itself; a search of at
 # most this many runs in this process
 _WORKER_CANDIDATES = 1_000
 
@@ -80,6 +88,10 @@ class BudgetExceededError(ValueError):
 
 class RevalidationError(RuntimeError):
     """The object layer disagrees with the kernel on a collected witness."""
+
+
+class WorkerDiedError(RuntimeError):
+    """A pool worker ended before it answered its request."""
 
 
 class SearchSpec(NamedTuple):
@@ -463,9 +475,12 @@ def run_search(
 
     The pool gets at most ``threads`` workers, one per task (shard or
     piece) and one per ``_WORKER_CANDIDATES`` candidates the tasks check, so
-    that each worker repays its start-up.  It starts, and its modules are
-    imported, only when that comes to two or more workers; every other
-    search runs in this process, as at ``threads`` = 1, and never loads them.
+    that each worker repays its start-up.  It is forked, and its module
+    imported, only when that comes to two or more workers and ``os.fork``
+    exists; every other search runs in this process, as at ``threads`` = 1.
+    Every worker is reaped before this returns or raises: an exception
+    raised on a worker is raised here with its type, and a worker that ends
+    without answering raises ``WorkerDiedError``.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -475,18 +490,25 @@ def run_search(
     t0 = time.perf_counter()
     tasks = _make_tasks(spec, budget)
     workers = _worker_count(tasks, threads)
-    if workers <= 1:
+    if workers <= 1 or not hasattr(os, "fork"):
         counts, wit_encs = _merge(spec, map(_kernel.scan, tasks))
         witnesses = tuple(_decode_witness(spec, enc) for enc in wit_encs)
     else:
-        from concurrent.futures import ProcessPoolExecutor
+        from ._pool import ForkPool
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            counts, wit_encs = _merge(spec, pool.map(_kernel.scan, tasks))
+        # the workers inherit the tasks: a scan request is a task's index
+        def scan(i: int) -> dict:
+            return _kernel.scan(tasks[i])
+
+        def decode(encs: list[list[int]]) -> list[Witness]:
+            return [_decode_witness(spec, enc) for enc in encs]
+
+        with ForkPool(workers, (scan, decode)) as pool:
+            counts, wit_encs = _merge(spec, pool.map(scan, range(len(tasks))))
             # about four chunks per worker: few round trips, balanced tails
             chunk = max(1, len(wit_encs) // (4 * workers))
-            decode = functools.partial(_decode_witness, spec)
-            witnesses = tuple(pool.map(decode, wit_encs, chunksize=chunk))
+            chunks = (wit_encs[i : i + chunk] for i in range(0, len(wit_encs), chunk))
+            witnesses = tuple(chain.from_iterable(pool.map(decode, chunks)))
     elapsed_ms = int(round((time.perf_counter() - t0) * 1000))
     return SearchReport(
         spec=spec, counts=counts, witnesses=witnesses, elapsed_ms=elapsed_ms

@@ -35,17 +35,17 @@ def F49():
 
 @pytest.fixture
 def pool_starts(monkeypatch):
-    """The ``max_workers`` of every process pool started while the test runs;
-    ``run_search`` imports ``ProcessPoolExecutor`` only when it starts one."""
-    import concurrent.futures
+    """The worker count of every fork pool started while the test runs;
+    ``run_search`` imports ``ForkPool`` only when it starts one."""
+    from cartier import _pool
 
-    real = concurrent.futures.ProcessPoolExecutor
+    real = _pool.ForkPool
     starts = []
 
     class Recorded(real):
-        def __init__(self, max_workers=None, *args, **kwargs):
-            starts.append(max_workers)
-            super().__init__(max_workers, *args, **kwargs)
+        def __init__(self, workers, *args, **kwargs):
+            starts.append(workers)
+            super().__init__(workers, *args, **kwargs)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+    monkeypatch.setattr(_pool, "ForkPool", Recorded)
     return starts

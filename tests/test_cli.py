@@ -2,7 +2,6 @@ import csv
 import errno
 import io
 import json
-import multiprocessing
 import os
 import re
 import subprocess
@@ -18,12 +17,21 @@ PERFBENCH = ROOT / "perfbench"
 WORKLOADS = json.loads((PERFBENCH / "workloads.json").read_text())
 
 
+TEST_PID = os.getpid()
+
+
 def _dead_worker(task):
     # dies only on a pool worker, so a search that never starts the pool
     # fails its test instead of ending the test process
-    if multiprocessing.parent_process() is None:
+    if os.getpid() == TEST_PID:
         raise AssertionError("scan ran outside the worker pool")
     os._exit(1)
+
+
+def assert_no_child_left():
+    # every child this test process forked has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def run_cli(capsys, *argv):
@@ -352,9 +360,10 @@ def run_probe(probe, *argv):
 
 
 class TestPoolImport:
-    """A run loads the worker pool's modules only when it starts a pool."""
+    """No run loads multiprocessing or concurrent.futures; the fork pool's
+    module is loaded only by a run that starts a pool."""
 
-    POOL_MODULES = ["multiprocessing", "concurrent.futures.process"]
+    POOL_MODULES = ["multiprocessing", "concurrent.futures", "cartier._pool"]
     # cli.main in a fresh interpreter; the last stderr line names the pool
     # modules the run loaded
     PROBE = (
@@ -394,10 +403,11 @@ class TestPoolImport:
         assert self.run_fresh(*argv)[1] == []
 
     def test_pooled_run_loads_the_pool_and_keeps_its_report(self):
-        # 2 401 candidates in 7 top-coefficient shards at --threads 2
+        # 2 401 candidates in 7 top-coefficient shards at --threads 2: the
+        # fork pool starts, and neither standard-library pool is loaded
         argv = WORKLOADS["workloads"]["witness-heavy"]["argv"]
         out, loaded = self.run_fresh(*argv, "--threads", "2")
-        assert loaded == self.POOL_MODULES
+        assert loaded == ["cartier._pool"]
         assert out == self.run_fresh(*argv, "--threads", "1")[0]
 
     @pytest.mark.parametrize(
@@ -434,6 +444,59 @@ class TestPoolImport:
         [tasks] = made
         assert len(tasks) == n_tasks
         assert search._worker_count(tasks, threads) == workers
+
+
+class TestForkPool:
+    """Reports from the fork pool equal the serial ones, and every worker is
+    reaped."""
+
+    @staticmethod
+    def decode_on_workers_only(monkeypatch):
+        # at --threads > 1 the re-validation must run on the pool
+        import cartier.search as search
+
+        real = search._decode_witness
+
+        def on_worker(spec, encodings):
+            if os.getpid() == TEST_PID:
+                raise AssertionError("witness re-validated outside the pool")
+            return real(spec, encodings)
+
+        monkeypatch.setattr(search, "_decode_witness", on_worker)
+
+    @pytest.mark.parametrize(
+        "name, threads, workers",
+        [
+            ("witness-heavy", "2", 2),
+            ("witness-heavy", "3", 3),
+            ("witness-heavy", "64", 3),
+            ("script2-f49", "2", 2),
+            ("script2-f49", "3", 3),
+            ("script2-f49", "64", 8),
+        ],
+    )
+    def test_pooled_report_equals_serial(
+        self, capsys, monkeypatch, pool_starts, name, threads, workers
+    ):
+        # the golden file is the --threads 1 report (TestGoldenReports)
+        self.decode_on_workers_only(monkeypatch)
+        seed = str(WORKLOADS["default_seed"])
+        argv = [a.replace("{seed}", seed) for a in WORKLOADS["workloads"][name]["argv"]]
+        code, out, _ = run_cli(capsys, *argv, "--threads", threads)
+        assert code == 0
+        assert out == (PERFBENCH / "golden" / f"{name}.json").read_text()
+        assert pool_starts == [workers]
+        assert_no_child_left()
+
+    def test_without_fork_the_search_runs_here(self, capsys, monkeypatch, pool_starts):
+        # where os.fork does not exist the search runs as at --threads 1
+        monkeypatch.delattr(os, "fork")
+        code, out, _ = run_cli(
+            capsys, *WORKLOADS["workloads"]["witness-heavy"]["argv"], "--threads", "2"
+        )
+        assert code == 0
+        assert out == (PERFBENCH / "golden" / "witness-heavy.json").read_text()
+        assert pool_starts == []
 
 
 class TestStartupImports:
@@ -719,17 +782,22 @@ class TestFailureExitCodes:
         monkeypatch.setattr(search, "_PIECE", 2)
         monkeypatch.setattr(search, "_WORKER_CANDIDATES", 1)
         real = search.invariants
-        monkeypatch.setattr(
-            search,
-            "invariants",
-            lambda f: real(f)._replace(rank_a=real(f).genus - 2),
-        )
+
+        def disagree(f):
+            # at --threads 2 only a worker disagrees, so exit 6 means the
+            # failure was raised there and reached this process
+            if threads == "2" and os.getpid() == TEST_PID:
+                return real(f)
+            return real(f)._replace(rank_a=real(f).genus - 2)
+
+        monkeypatch.setattr(search, "invariants", disagree)
         code, out, err = run_cli(capsys, *self.WITNESS_SEARCH, "--threads", threads)
         assert code == 6
         assert out == ""
         assert err.startswith("error: internal:")
         assert "a=2, wanted 1" in err
         assert pool_starts == ([] if threads == "1" else [2])
+        assert_no_child_left()
 
     @pytest.mark.parametrize(
         "tamper, reason",
@@ -772,7 +840,12 @@ class TestFailureExitCodes:
         code, out, err = run_cli(capsys, *self.WITNESS_SEARCH, "--threads", "2")
         assert code == 5
         assert out == ""
-        assert err.startswith("error: resource: BrokenProcessPool")
+        assert re.fullmatch(
+            r"error: resource: WorkerDiedError: pool worker [0-9]+ ended "
+            r"\(exit code 1\) before answering\n",
+            err,
+        )
+        assert_no_child_left()
 
     def test_closed_stdout_exits_5(self):
         # the report's reader is gone before the first byte: the write is a
@@ -791,25 +864,57 @@ class TestFailureExitCodes:
         error = "error: resource: BrokenPipeError: [Errno 32] Broken pipe\n"
         assert res.stderr == error
 
-    def test_pool_without_processes_exits_5(self, capsys, monkeypatch, pool_starts):
-        # fork fails with EAGAIN as the pool starts its workers; the pool
-        # here raises it from map, before any process starts
-        import concurrent.futures
-
+    def second_fork_fails(self, capsys, monkeypatch, error):
+        # the pool's first worker starts and its second fork fails with
+        # ``error``: the first worker is reaped before the error reaches main
         import cartier.search as search
 
-        class Exhausted(concurrent.futures.ProcessPoolExecutor):
-            def map(self, *args, **kwargs):
-                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        real_fork = os.fork
+        forks = []
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Exhausted)
+        def fork():
+            forks.append(len(forks))
+            if len(forks) == 2:
+                raise OSError(error, os.strerror(error))
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
         monkeypatch.setattr(search, "_PIECE", 2)
         monkeypatch.setattr(search, "_WORKER_CANDIDATES", 1)
         code, out, err = run_cli(capsys, *self.WITNESS_SEARCH, "--threads", "2")
         assert (code, out) == (5, "")
+        assert forks == [0, 1]
+        assert_no_child_left()
+        return err
+
+    def test_pool_without_processes_exits_5(self, capsys, monkeypatch, pool_starts):
+        err = self.second_fork_fails(capsys, monkeypatch, errno.EAGAIN)
         assert err.startswith("error: resource: BlockingIOError: [Errno 11]")
         assert pool_starts == [2]
-        assert multiprocessing.active_children() == []
+
+    def test_pool_without_memory_exits_5(self, capsys, monkeypatch, pool_starts):
+        err = self.second_fork_fails(capsys, monkeypatch, errno.ENOMEM)
+        assert err.startswith("error: resource: OSError: [Errno 12]")
+        assert pool_starts == [2]
+
+    def test_memory_error_on_a_worker_exits_5(self, capsys, monkeypatch, pool_starts):
+        # the exception reaches this process with its type
+        import cartier._kernel as _kernel
+        import cartier.search as search
+
+        def out_of_memory(task):
+            if os.getpid() == TEST_PID:
+                raise AssertionError("scan ran outside the worker pool")
+            raise MemoryError
+
+        monkeypatch.setattr(search, "_PIECE", 2)
+        monkeypatch.setattr(search, "_WORKER_CANDIDATES", 1)
+        monkeypatch.setattr(_kernel, "scan", out_of_memory)
+        code, out, err = run_cli(capsys, *self.WITNESS_SEARCH, "--threads", "2")
+        assert (code, out) == (5, "")
+        assert err == "error: resource: MemoryError: \n"
+        assert pool_starts == [2]
+        assert_no_child_left()
 
     @pytest.mark.parametrize(
         "error, code, kind",
@@ -829,6 +934,42 @@ class TestFailureExitCodes:
         )
         assert (exit_code, stdout) == (code, "")
         assert err == f"error: {kind}: [Errno {error}] {os.strerror(error)}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("existing", [None, "old report\n"])
+    def test_report_over_the_file_size_limit_exits_5(self, tmp_path, existing):
+        # RLIMIT_FSIZE stops the write partway with EFBIG (Python ignores
+        # SIGXFSZ): out of resources, and --out is left as it was
+        out = tmp_path / "r.json"
+        if existing is not None:
+            out.write_text(existing)
+        probe = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (1024, 1024))\n"
+            "from cartier.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        res = subprocess.run(
+            [sys.executable, "-c", probe, *self.WITNESS_SEARCH, "--out", str(out)],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        )
+        assert res.returncode == 5
+        error = "error: resource: OSError: [Errno 27] File too large\n"
+        assert res.stderr.endswith(error) and res.stderr.count("\n") == 1
+        assert [f.name for f in tmp_path.iterdir()] == ([] if existing is None else ["r.json"])
+        if existing is not None:
+            assert out.read_text() == existing
+
+    def test_report_replaces_out_whole(self, capsys, tmp_path):
+        # a finished run replaces an existing --out and leaves no other file
+        out = tmp_path / "r.json"
+        out.write_text("old report\n")
+        code, stdout, _ = run_cli(capsys, *self.WITNESS_SEARCH, "--out", str(out))
+        assert (code, stdout) == (0, "")
+        _, report, _ = run_cli(capsys, *self.WITNESS_SEARCH)
+        assert out.read_text() == report
+        assert list(tmp_path.iterdir()) == [out]
 
     @pytest.mark.parametrize(
         "argv",
@@ -860,8 +1001,8 @@ class TestFailureExitCodes:
         )
         assert code == 5
         assert out == ""
-        assert err.startswith("error: resource: BrokenProcessPool")
-        assert multiprocessing.active_children() == []
+        assert err.startswith("error: resource: WorkerDiedError: pool worker")
+        assert_no_child_left()
 
     def test_random_over_budget_at_two_threads_exits_4_before_drawing(
         self, capsys, monkeypatch
