@@ -21,10 +21,13 @@ conversion to and from coordinates: for a degree-9 cube over F_49 that took
 
 ``scan`` tests each candidate of a task: squarefree gcd, the rank-one
 prefilter on rows 1 and g if the task asks, then the full half power, rank
-and p-rank.  With a fixed factor F, f = F u is squarefree exactly when F
-and the cofactor u are and gcd(F, u) = 1, so ``squarefree_test`` checks u
-against F's roots and the rest of F and never forms f for a candidate that
-fails.  Rows 1 and
+and p-rank.  A task whose squarefree count comes from the sieve below does
+not count it: it tests squarefreeness only under ``require_smooth``, after
+the end-row and rank tests, so the gcd runs on the few candidates those
+keep.  With a fixed factor F, f = F u is squarefree exactly when F and the
+cofactor u are and gcd(F, u) = 1, so ``squarefree_test`` checks u against
+F's roots and the rest of F and, where it runs first, never forms f for a
+candidate that fails.  Rows 1 and
 g need f^e (e = (p-1)/2) below x^p and the power of f's reversal below
 x^(e+1).  Both come from Miller's power-series recurrence, which divides
 only by m < p and so is exact in characteristic p, one coefficient at a
@@ -41,7 +44,9 @@ so it matches the assignments of the coefficients row 1 reads with those
 row g reads on the projective class of the row; scan does not repeat the
 test on them.  The family's squarefree count then comes from
 ``squarefree_count``, a Moebius sieve over F_q[x] with one linear system
-per square h^2.  Checking every candidate stays the oracle.
+per square h^2, as it does for every large exhaustive search with a rank
+target or without ``require_smooth`` (the search's choice).  Checking every
+candidate stays the oracle.
 
 The object layer in fields/poly/invariants is the reference implementation.
 Everything here is cross-checked against it by the test suite, and every
@@ -732,11 +737,15 @@ def scan(task: dict) -> dict:
     ``top``, every assignment of the free coefficients below the top one.
     Returns enumerated/squarefree/rank/p-rank counts of the candidates
     checked and up to ``collect_limit`` matching coefficient vectors
-    (encodings, ascending).
+    (encodings, ascending); the squarefree count is 0 unless the task's
+    ``count_squarefree`` asks for it.
 
-    Per candidate: ``squarefree_test`` on the cofactor u, f = factor * u
-    only if the candidate goes on, ``end_rows_rank_le_1`` when the task's
-    ``prefilter`` says so, then the half power, rank and p-rank.
+    Per candidate: ``squarefree_test`` on the cofactor u first when the task
+    counts, f = factor * u only if the candidate goes on,
+    ``end_rows_rank_le_1`` when the task's ``prefilter`` says so, then the
+    half power and rank.  A task that does not count tests u only under
+    ``require_smooth``, after the rank test, just before the rank match is
+    counted.  Then the p-rank.
     """
     kern = get_kernel(task["p"], task["k"], tuple(task["modulus"]))
     q = kern.q
@@ -752,6 +761,8 @@ def scan(task: dict) -> dict:
     limit = task["collect_limit"]
     target_rank = g - target_a if target_a is not None else None
     prefilter = task["prefilter"]
+    count_squarefree = task["count_squarefree"]
+    smooth_last = require_smooth and not count_squarefree
 
     cof_len = degree + 1 - (len(factor) - 1 if factor else 0)
     u = [0] * cof_len
@@ -785,11 +796,12 @@ def scan(task: dict) -> dict:
         for i, v in zip(slots, vals):
             u[i] = v
 
-        sq = squarefree(u)
-        if sq:
-            n_sq += 1
-        if require_smooth and not sq:
-            continue
+        if count_squarefree:
+            sq = squarefree(u)
+            if sq:
+                n_sq += 1
+            if require_smooth and not sq:
+                continue
         f = poly_mul_trunc(factor, u, degree + 1) if factor else u
 
         if filtered:
@@ -800,6 +812,8 @@ def scan(task: dict) -> dict:
             if target_rank is not None:
                 if rank([row[:] for row in rows]) != target_rank:
                     continue
+        if smooth_last and not squarefree(u):
+            continue
         n_rank += 1
         if target_p_rank is not None:
             if p_rank(rows, g) != target_p_rank:

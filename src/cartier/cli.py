@@ -151,8 +151,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_search.add_argument(
         "--no-prefilter",
         action="store_true",
-        help="check every candidate: no rank-one prefilter, and no end-row "
-        "join for --target-a g-1 (same counts and witnesses; slower)",
+        help="check every candidate: no rank-one prefilter, no end-row join "
+        "for --target-a g-1, and the squarefree count taken candidate by "
+        "candidate, not from the sieve (same counts and witnesses; slower)",
     )
     _run_args(p_search)
     _output_args(p_search)

@@ -11,18 +11,23 @@ reports for any thread count.  Exhaustive spaces shard on the value of the
 highest-order free coefficient.  Random mode draws every sample's
 coefficients from one MT19937 stream up front (sample-major, ascending free
 index) and cuts it into fixed pieces of ``_PIECE`` samples.  Exhaustive
-rank-one searches over large enough families check only the survivors of one
-join on the end rows, run in the parent and cut the same way in enumeration
-order, and take the squarefree count from a sieve (see ``_kernel``); their
-reports are the per-candidate path's, and ``_rank_one_filter`` alone decides
-where the end-row test runs.  A pool gets one worker per
+searches over large enough families with the prefilter on take the
+squarefree count from a sieve (see ``_kernel``) when they have a rank target
+or do not require smoothness (``_sieve_counts``): their scan tests a
+cofactor only under ``require_smooth``, after the end-row and rank tests.
+Rank-one searches among them check only the survivors of one join on the
+end rows, run in the parent and cut the same way in enumeration order.
+Their reports are the per-candidate path's, and ``_rank_one_filter`` alone
+decides where the end-row test runs.  A pool gets one worker per
 ``_WORKER_CANDIDATES`` candidates checked, up to the thread count and the
 task count, so a smaller search runs in this process at any thread count.
 The pool (``_pool.ForkPool``) is forked once per search, after the tasks
 are made, and serves both the scan and the witness re-validation: each
 worker inherits the task list, so a scan request is a task's index and
 only witness chunks and replies are pickled.  It hands the next request to
-whichever worker answered and yields replies in request order; where
+whichever worker answered and yields replies in request order; a
+re-validation reply carries each witness's ``Invariants`` only, and the
+parent builds its polynomial from the encodings it holds.  Where
 ``os.fork`` does not exist the search runs in this process.  Task results
 merge in task order: counts add, witness lists concatenate and
 truncate.  ``enumerated`` is the spec's, and ``shard_count`` never counts
@@ -71,13 +76,13 @@ _RANDOM_SHARD_SAMPLES = 100_000
 # divisor of _RANDOM_SHARD_SAMPLES, small enough that a few pieces per worker
 # balance even a 2 x 10^4-sample search
 _PIECE = 2_500
-# the candidates that repay one pool worker: on a 2-core Xeon host the
-# concurrent.futures pool's import, start and teardown cost about 40-60 ms
-# (the fork pool's about 10-12 ms, its import included), and the
-# per-candidate path 15-30 us a candidate (kernel.scan_us_per_cand of
-# perfbench/run.py --trace 1 on script2-f49 and witness-heavy), so a worker
-# needed on the order of 1 000 candidates to pay for itself; a search of at
-# most this many runs in this process
+# the candidates that repay a pool: on a 2-core Xeon host the fork pool's
+# import, start and teardown cost about 10-12 ms, and the per-candidate path
+# 15-30 us a candidate (kernel.scan_us_per_cand of perfbench/run.py --trace 1
+# on script2-f49 and witness-heavy).  A second worker saves half the scan,
+# which repays that cost from 2 x (10-12 ms) / (15-30 us), about 700-1 600
+# candidates; a sieve-counted task costs less a candidate, so it breaks even
+# later, not sooner.  A search of at most this many runs in this process
 _WORKER_CANDIDATES = 1_000
 
 
@@ -319,20 +324,33 @@ def _affine_form(spec: SearchSpec) -> tuple[list[int], list[list[int]]]:
     return f0, [encodings(factor * Poly.monomial(field, i)) for i in spec.free]
 
 
+def _sieve_counts(spec: SearchSpec) -> bool:
+    """Whether the search takes its squarefree count from
+    ``_kernel.squarefree_count`` instead of candidate by candidate: an
+    exhaustive search with the prefilter on whose family outnumbers the
+    monic h the sieve may visit, and which has a rank target or does not
+    require smoothness.  Its tasks then test a cofactor only under
+    ``require_smooth``, after the end-row and rank tests; with smoothness
+    required and no rank target the test stays the first, cheap gate."""
+    q = spec.field.order
+    return (
+        spec.prefilter
+        and spec.mode == "exhaustive"
+        and (spec.target_a is not None or not spec.require_smooth)
+        and q ** len(spec.free) > sum(q**d for d in range(spec.degree // 2 + 1))
+    )
+
+
 def _rank_one_filter(spec: SearchSpec) -> str | None:
     """Where the end-row test of a rank-one (a = g-1) search with the
-    prefilter on runs: "join" when the search is exhaustive and the family
-    outnumbers the monic h the squarefree sieve may visit, so its tasks hold
-    the join's survivors only; "scan" for ``_kernel.end_rows_rank_le_1`` on
-    each candidate otherwise, at p >= 5 (at p = 3 the half power is f
-    itself); None elsewhere.  At genus 1 the matrix is 1 x 1 and rows 1 and
-    g are one row, so neither runs."""
+    prefilter on runs: "join" when the sieve counts (``_sieve_counts``), so
+    its tasks hold the join's survivors only; "scan" for
+    ``_kernel.end_rows_rank_le_1`` on each candidate otherwise, at p >= 5
+    (at p = 3 the half power is f itself); None elsewhere.  At genus 1 the
+    matrix is 1 x 1 and rows 1 and g are one row, so neither runs."""
     if not spec.prefilter or spec.target_a != spec.genus - 1 or spec.genus < 2:
         return None
-    q = spec.field.order
-    if spec.mode == "exhaustive" and q ** len(spec.free) > sum(
-        q**d for d in range(spec.degree // 2 + 1)
-    ):
+    if _sieve_counts(spec):
         return "join"
     return "scan" if spec.field.p >= 5 else None
 
@@ -340,7 +358,8 @@ def _rank_one_filter(spec: SearchSpec) -> str | None:
 def _make_tasks(spec: SearchSpec, budget: int) -> list[dict]:
     """Top-coefficient shards or pieces of ``draws``, each the spec's echo
     with the factor and fixed values as encodings, whether scan runs the
-    end-row test (``prefilter``) and the candidates it checks (``count``)."""
+    end-row test (``prefilter``), whether it counts squarefree candidates
+    (``count_squarefree``) and the candidates it checks (``count``)."""
     rank_one = _rank_one_filter(spec)
     base = dict(
         _spec_to_dict(spec),
@@ -349,6 +368,7 @@ def _make_tasks(spec: SearchSpec, budget: int) -> list[dict]:
         ),
         fixed=sorted((i, el.encoding) for i, el in spec.fixed.items()),
         prefilter=rank_one == "scan",
+        count_squarefree=not _sieve_counts(spec),
     )
     q = spec.field.order
     nf = len(spec.free)
@@ -394,9 +414,9 @@ def _worker_count(tasks: list[dict], threads: int) -> int:
 
 
 def _squarefree_total(spec: SearchSpec) -> int | None:
-    """The family's squarefree count from the sieve when the join runs, whose
-    pieces count survivors only; None elsewhere."""
-    if _rank_one_filter(spec) != "join":
+    """The family's squarefree count from the sieve where ``_sieve_counts``
+    holds, whose tasks do not count it; None elsewhere."""
+    if not _sieve_counts(spec):
         return None
     kern = _kernel.get_kernel(spec.field.p, spec.field.k, spec.field.modulus)
     return _kernel.squarefree_count(kern, *_affine_form(spec))
@@ -440,7 +460,7 @@ def _filter_failure(
     return None
 
 
-def _decode_witness(spec: SearchSpec, encodings: list[int]) -> Witness:
+def _witness_poly(spec: SearchSpec, encodings: list[int]) -> Poly:
     # taken as given: no encoding is wrapped and no leading zero is dropped
     field = spec.field
     if not all(0 <= e < field.order for e in encodings):
@@ -454,6 +474,11 @@ def _decode_witness(spec: SearchSpec, encodings: list[int]) -> Witness:
             f"witness re-validation failed (degree {f.degree}, wanted "
             f"{spec.degree}): {list(encodings)}"
         )
+    return f
+
+
+def _decode_witness(spec: SearchSpec, encodings: list[int]) -> Witness:
+    f = _witness_poly(spec, encodings)
     inv = invariants(f)
     failure = _filter_failure(
         inv, spec.require_smooth, spec.target_a, spec.target_p_rank
@@ -500,15 +525,21 @@ def run_search(
         def scan(i: int) -> dict:
             return _kernel.scan(tasks[i])
 
-        def decode(encs: list[list[int]]) -> list[Witness]:
-            return [_decode_witness(spec, enc) for enc in encs]
+        # a reply carries the invariants only: this process holds the
+        # encodings and builds each polynomial from them
+        def decode(encs: list[list[int]]) -> list[Invariants]:
+            return [_decode_witness(spec, enc).invariants for enc in encs]
 
         with ForkPool(workers, (scan, decode)) as pool:
             counts, wit_encs = _merge(spec, pool.map(scan, range(len(tasks))))
             # about four chunks per worker: few round trips, balanced tails
             chunk = max(1, len(wit_encs) // (4 * workers))
             chunks = (wit_encs[i : i + chunk] for i in range(0, len(wit_encs), chunk))
-            witnesses = tuple(chain.from_iterable(pool.map(decode, chunks)))
+            invs = chain.from_iterable(pool.map(decode, chunks))
+            witnesses = tuple(
+                Witness(_witness_poly(spec, enc), inv)
+                for enc, inv in zip(wit_encs, invs, strict=True)
+            )
     elapsed_ms = int(round((time.perf_counter() - t0) * 1000))
     return SearchReport(
         spec=spec, counts=counts, witnesses=witnesses, elapsed_ms=elapsed_ms

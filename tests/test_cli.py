@@ -488,6 +488,43 @@ class TestForkPool:
         assert pool_starts == [workers]
         assert_no_child_left()
 
+    def test_revalidation_replies_carry_invariants_only(
+        self, capsys, monkeypatch, pool_starts
+    ):
+        # a worker's re-validation reply is each witness's Invariants: no
+        # Poly or FieldElement crosses the pipe, and this process builds the
+        # polynomials from the encodings it holds
+        import pickle
+
+        from cartier import _pool
+        from cartier.invariants import Invariants
+
+        replies = []
+        real = _pool._recv
+
+        def recorded(fd):
+            reply = real(fd)
+            if os.getpid() == TEST_PID:
+                replies.append(reply)
+            return reply
+
+        monkeypatch.setattr(_pool, "_recv", recorded)
+        argv = WORKLOADS["workloads"]["witness-heavy"]["argv"]
+        code, out, _ = run_cli(capsys, *argv, "--threads", "2")
+        assert code == 0
+        assert out == (PERFBENCH / "golden" / "witness-heavy.json").read_text()
+        assert pool_starts == [2]
+        decoded = [value for ok, value in replies if ok and isinstance(value, list)]
+        invs = [inv for value in decoded for inv in value]
+        assert len(invs) == 247
+        for inv in invs:
+            assert type(inv) is Invariants
+            assert {type(x) for x in inv} <= {int, bool}
+        for value in decoded:
+            data = pickle.dumps(value)
+            assert b"Poly" not in data and b"FieldElement" not in data
+        assert_no_child_left()
+
     def test_without_fork_the_search_runs_here(self, capsys, monkeypatch, pool_starts):
         # where os.fork does not exist the search runs as at --threads 1
         monkeypatch.delattr(os, "fork")

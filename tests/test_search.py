@@ -24,7 +24,7 @@ from cartier import (
     verify_p_rank_witnesses,
     verify_theorem1,
 )
-from cartier.search import Witness, _rank_one_filter
+from cartier.search import Witness, _rank_one_filter, _sieve_counts
 
 
 class TestRunSearchSmallFamilies:
@@ -256,6 +256,164 @@ class TestPrefilter:
         off = run_search(spec._replace(prefilter=False)).to_dict()
         off["spec"]["prefilter"] = True
         assert json.dumps(doc) == json.dumps(off)
+
+
+class TestSieveCountedSearches:
+    """Large exhaustive searches with a rank target, or without
+    require_smooth, take the squarefree count from the sieve and test a
+    candidate's squarefreeness only where a count needs it."""
+
+    @staticmethod
+    def _family(p, k, genus, fixed, **kwargs):
+        F = make_field(p, k)
+        factor = kwargs.pop("factor", None)
+        return SearchSpec(
+            field=F,
+            degree=2 * genus + 1,
+            fixed={i: F.element(v) for i, v in fixed.items()},
+            factor=parse_poly(F, factor) if factor else None,
+            **kwargs,
+        )
+
+    @pytest.mark.parametrize(
+        "p, k, genus, fixed, kwargs, matched",
+        [
+            # a = g over F_7: the one superspecial member, y^2 = x^7 + x
+            (7, 1, 3, {0: 0, 1: 1, 7: 1},
+             dict(target_a=3, require_smooth=True), 1),
+            # a = g - 2 over F_5, singular models counted: 188 matches
+            # truncated to the first 5
+            (5, 1, 4, {0: 0, 1: 1, 2: 1, 9: 1},
+             dict(target_a=2, collect_limit=5), 188),
+            # ordinary members over F_9 (p = 3: the half power is f itself)
+            (3, 2, 2, {0: 0, 5: 1},
+             dict(target_a=0, require_smooth=True, collect_limit=5), 4792),
+            # f = x(x-1)h with h0 and h5 fixed, a = g - 2
+            (7, 1, 3, {0: 1, 5: 1},
+             dict(target_a=1, require_smooth=True, collect_limit=5,
+                  factor="0,6,1"), 314),
+        ],
+    )
+    def test_report_equals_the_per_candidate_one(
+        self, p, k, genus, fixed, kwargs, matched
+    ):
+        # the whole report is its --no-prefilter twin's at one and two
+        # threads, but for the echoed flag; none of these is rank one
+        spec = self._family(p, k, genus, fixed, **kwargs)
+        off = spec._replace(prefilter=False)
+        assert (_sieve_counts(spec), _sieve_counts(off)) == (True, False)
+        assert _rank_one_filter(spec) is None
+        expected = run_search(off, threads=2).to_dict()
+        assert expected["matched"] == matched
+        expected["spec"]["prefilter"] = True
+        for threads in (1, 2):
+            doc = run_search(spec, threads=threads).to_dict()
+            assert json.dumps(doc) == json.dumps(expected)
+
+    @staticmethod
+    def _tested(monkeypatch, spec, threads):
+        """The report, and the cofactors the kernel's squarefree test ran on,
+        from the scan's results on whichever process ran it."""
+        import cartier._kernel as _kernel
+        import cartier.search as search
+
+        tested = []
+        real_test = _kernel.squarefree_test
+        real_scan = _kernel.scan
+        real_merge = search._merge
+
+        def squarefree_test(kern, factor):
+            test = real_test(kern, factor)
+
+            def recorded(u):
+                tested.append(list(u))
+                return test(u)
+
+            return recorded
+
+        def scan(task):
+            tested.clear()
+            return dict(real_scan(task), tested=list(tested))
+
+        seen = []
+
+        def merge(spec, results):
+            return real_merge(spec, (seen.append(r) or r for r in results))
+
+        monkeypatch.setattr(_kernel, "squarefree_test", squarefree_test)
+        monkeypatch.setattr(_kernel, "scan", scan)
+        monkeypatch.setattr(search, "_merge", merge)
+        rep = run_search(spec, threads=threads)
+        return rep, [u for r in seen for u in r["tested"]]
+
+    @staticmethod
+    def _rank(spec, u):
+        from cartier._kernel import get_kernel, matrix_rows
+
+        F = spec.field
+        kern = get_kernel(F.p, F.k, F.modulus)
+        e = (F.p - 1) // 2
+        rows = matrix_rows(kern.poly_pow(u, e) if e > 1 else u, spec.genus, F.p)
+        return kern.rank(rows)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_squarefree_test_runs_past_the_rank_test_only(
+        self, monkeypatch, pool_starts, threads
+    ):
+        # a = g - 2 over F_5, smooth: the cofactors tested are exactly the
+        # members of rank 2, singular ones included
+        spec = self._family(
+            5, 1, 4, {0: 0, 1: 1, 2: 1, 9: 1}, target_a=2, require_smooth=True
+        )
+        assert _sieve_counts(spec)
+        rep, tested = self._tested(monkeypatch, spec, threads)
+        assert pool_starts == ([2] if threads == 2 else [])
+        assert {self._rank(spec, u) for u in tested} == {2}
+        assert len(tested) == 188 > rep.matched > 0
+        # on the join's survivors too, those of rank one only
+        spec = self._family(
+            7, 1, 4, {0: 0, 1: 1, 2: 1, 3: 1, 9: 1}, target_a=3, require_smooth=True
+        )
+        assert _rank_one_filter(spec) == "join"
+        rep, tested = self._tested(monkeypatch, spec, threads)
+        assert {self._rank(spec, u) for u in tested} <= {1}
+        assert rep.counts.squarefree == 14710
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_no_squarefree_test_without_require_smooth(
+        self, monkeypatch, pool_starts, threads
+    ):
+        spec = self._family(
+            5, 1, 4, {0: 0, 1: 1, 2: 1, 9: 1}, target_a=2, collect_limit=5
+        )
+        assert _sieve_counts(spec)
+        rep, tested = self._tested(monkeypatch, spec, threads)
+        assert pool_starts == ([2] if threads == 2 else [])
+        assert (rep.matched, tested) == (188, [])
+        assert rep.counts.squarefree == 13018
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize(
+        "genus, fixed, kwargs",
+        [
+            # a random sample
+            (2, {0: 0, 5: 1}, dict(samples=300, seed=4, target_a=1)),
+            # script1-f7's 7-candidate set-up family, below the bound
+            (4, {0: 0, 1: 1, 2: 1, 3: 1, 4: 0, 5: 0, 6: 0, 7: 0, 9: 1},
+             dict(target_a=3)),
+            # smooth with no rank target: the test stays the first gate
+            (2, {0: 0, 1: 1, 5: 1}, dict(target_p_rank=1)),
+            # --no-prefilter
+            (3, {0: 0, 1: 1, 7: 1}, dict(target_a=3, prefilter=False)),
+        ],
+    )
+    def test_other_searches_test_every_candidate(
+        self, monkeypatch, threads, genus, fixed, kwargs
+    ):
+        spec = self._family(7, 1, genus, fixed, require_smooth=True, **kwargs)
+        assert not _sieve_counts(spec)
+        rep, tested = self._tested(monkeypatch, spec, threads)
+        assert len(tested) == rep.counts.enumerated
 
 
 class TestDeterminism:
