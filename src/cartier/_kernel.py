@@ -61,7 +61,7 @@ import operator
 import sys
 from array import array
 
-from .fields import FieldElement, FieldSpec
+from .fields import FieldElement, FieldSpec, _coord_ops
 
 # array typecodes of Kronecker lanes by width in bytes, and the narrowest
 # lane that holds a value of 0 .. 8 bytes
@@ -111,10 +111,8 @@ class TableKernel:
         els = [spec.from_encoding(x) for x in range(q)]
         coords = [el.coords for el in els]
         index = {el.coords: el.encoding for el in els}
-        self.add = [
-            [index[tuple((a + b) % p for a, b in zip(ca, cb))] for cb in coords]
-            for ca in coords
-        ]
+        add = _coord_ops(spec).add
+        self.add = [[index[add(ca, cb)] for cb in coords] for ca in coords]
         self.neg = [(-el).encoding for el in els]
 
         exp = _unit_powers(spec, els)
@@ -336,12 +334,11 @@ def get_kernel(p: int, k: int, modulus: tuple[int, ...]) -> TableKernel:
 
 
 def matrix_rows(kappa, g, p):
-    """Rows of [kappa_{p*i - j}] (1-indexed i, j); out-of-range reads are 0."""
-    n = len(kappa)
-    return [
-        [kappa[p * i - j] if 0 <= p * i - j < n else 0 for j in range(1, g + 1)]
-        for i in range(1, g + 1)
-    ]
+    """Rows of [kappa_{p*i - j}] (1-indexed i, j) from the list kappa;
+    out-of-range reads are 0.  Row i is kappa[p*i - g : p*i] reversed, read
+    from kappa with g zeros in front and zeros behind up to index p*g."""
+    padded = [0] * g + kappa + [0] * (p * g - len(kappa))
+    return [padded[p * i + g - 1 : p * i - 1 : -1] for i in range(1, g + 1)]
 
 
 def _row1_series(kern, f):

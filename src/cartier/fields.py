@@ -7,12 +7,13 @@ the generator, always kept in canonical reduced form.
 
 The representation is deliberately table-free: fields in scope are tiny
 (p <= 13, k <= 3 in practice), every result is computed from the coordinates
-alone, and exactness comes before speed.  The public constructor
-``FieldElement(spec, coords)`` reduces its input; the arithmetic itself
-already produces coordinates in [0, p) and builds its results with the
-private ``_reduced``, which skips that second reduction.  The search engine
-keeps its own integer-encoded fast path and is cross-checked against this
-module by the test suite.
+alone, and exactness comes before speed.  The arithmetic is written once, on
+coordinate tuples: a field's ``_CoordOps`` (``_coord_ops(spec)``) binds p
+and the modulus, with k = 1 specialised.  FieldElement's operators and the
+loops in ``poly`` and ``invariants`` run on it and build elements, through
+the private ``_reduced``, only for what they return.  This object layer
+(fields, poly, invariants) imports only itself and the standard library;
+the search engine's integer-encoded fast path is cross-checked against it.
 
 Text formats:
   * element: prime field as a decimal integer ("5"); extension field as a
@@ -23,6 +24,7 @@ Text formats:
 
 from __future__ import annotations
 
+import functools
 import operator
 import random
 from array import array
@@ -56,16 +58,17 @@ def _prime_factors(n: int) -> list[int]:
 
 def _power(x, n: int, one, mul=operator.mul):
     """x^n, n >= 0, by right-to-left square-and-multiply (Knuth, TAOCP vol. 2,
-    sec. 4.6.3): popcount(n) + bit_length(n) - 1 products for n >= 1, as it
-    forms no square past the top bit, where no bit would read it."""
-    result = one
+    sec. 4.6.3): popcount(n) + bit_length(n) - 2 products for n >= 1, as it
+    forms no square past the top bit, where no bit would read it, and takes
+    the lowest set bit's power as it is, not times one."""
+    result = None
     while n:
         if n & 1:
-            result = mul(result, x)
+            result = x if result is None else mul(result, x)
         n >>= 1
         if n:
             x = mul(x, x)
-    return result
+    return one if result is None else result
 
 
 def _rand_below(rng: random.Random, n: int) -> int:
@@ -153,15 +156,15 @@ class FieldSpec(NamedTuple):
         for _ in range(self.k):
             e, r = divmod(e, self.p)
             coords.append(r)
-        return _reduced(self, tuple(coords))
+        return _reduced(_coord_ops(self), tuple(coords))
 
     @property
     def zero(self) -> "FieldElement":
-        return _reduced(self, (0,) * self.k)
+        return _reduced(_coord_ops(self), (0,) * self.k)
 
     @property
     def one(self) -> "FieldElement":
-        return _reduced(self, (1,) + (0,) * (self.k - 1))
+        return _reduced(_coord_ops(self), (1,) + (0,) * (self.k - 1))
 
     @property
     def gen(self) -> "FieldElement":
@@ -178,56 +181,42 @@ class FieldSpec(NamedTuple):
 
 
 class FieldElement:
-    """An element of F_{p^k} in canonical coordinates (ascending powers)."""
+    """An element of F_{p^k} in canonical coordinates (ascending powers); it
+    carries its field's ``_CoordOps``, so an operator reads neither p nor k."""
 
-    __slots__ = ("spec", "coords")
+    __slots__ = ("spec", "coords", "_ops")
 
     def __init__(self, spec: FieldSpec, coords: tuple[int, ...]):
         p = spec.p
         self.spec = spec
         self.coords = tuple(c % p for c in coords)
+        self._ops = _coord_ops(spec)
 
-    def _same_field(self, other: "FieldElement") -> None:
-        if self.spec is not other.spec and self.spec != other.spec:
+    def __reduce__(self):  # the operations are closures: pickle what they come from
+        return FieldElement, (self.spec, self.coords)
+
+    def _ops_for(self, other: "FieldElement") -> "_CoordOps":
+        """The field's coordinate operations, once other is checked to share them."""
+        if other._ops is not self._ops:
             raise ValueError(
                 f"elements of different fields: {self.spec} vs {other.spec}"
             )
+        return self._ops
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._same_field(other)
-        spec = self.spec
-        p = spec.p
-        if spec.k == 1:
-            return _reduced(spec, ((self.coords[0] + other.coords[0]) % p,))
-        return _reduced(
-            spec, tuple([(a + b) % p for a, b in zip(self.coords, other.coords)])
-        )
+        ops = self._ops_for(other)
+        return _reduced(ops, ops.add(self.coords, other.coords))
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._same_field(other)
-        spec = self.spec
-        p = spec.p
-        if spec.k == 1:
-            return _reduced(spec, ((self.coords[0] - other.coords[0]) % p,))
-        return _reduced(
-            spec, tuple([(a - b) % p for a, b in zip(self.coords, other.coords)])
-        )
+        ops = self._ops_for(other)
+        return _reduced(ops, ops.sub(self.coords, other.coords))
 
     def __neg__(self) -> "FieldElement":
-        spec = self.spec
-        p = spec.p
-        if spec.k == 1:
-            return _reduced(spec, (-self.coords[0] % p,))
-        return _reduced(spec, tuple([-a % p for a in self.coords]))
+        return _reduced(self._ops, self._ops.neg(self.coords))
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._same_field(other)
-        spec = self.spec
-        if spec.k == 1:
-            return _reduced(spec, (self.coords[0] * other.coords[0] % spec.p,))
-        return _reduced(
-            spec, _mul_coords(self.coords, other.coords, spec.p, spec.modulus)
-        )
+        ops = self._ops_for(other)
+        return _reduced(ops, ops.mul(self.coords, other.coords))
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         return self * other.inv()
@@ -241,19 +230,15 @@ class FieldElement:
         """Multiplicative inverse; raises ZeroDivisionError on zero."""
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero field element")
-        spec = self.spec
-        if spec.k == 1:
-            return _reduced(spec, (pow(self.coords[0], -1, spec.p),))
-        return self ** (spec.order - 2)
+        return _reduced(self._ops, self._ops.inv(self.coords))
 
     def frobenius(self, i: int = 1) -> "FieldElement":
         """The i-fold p-th power map a -> a^(p^i)."""
         if i < 0:
             raise ValueError("frobenius power must be >= 0")
-        spec = self.spec
-        if spec.k == 1:
+        if i % self.spec.k == 0:  # a^(p^k) = a
             return self
-        return self ** (spec.p ** (i % spec.k))
+        return _reduced(self._ops, self._ops.frob(self.coords, i))
 
     def pth_root(self) -> "FieldElement":
         """The unique b with b^p = a (Frobenius is an automorphism)."""
@@ -291,25 +276,70 @@ class FieldElement:
         return f"FieldElement({self} in {self.spec})"
 
 
-def _reduced(spec: FieldSpec, coords: tuple[int, ...]) -> FieldElement:
-    """Element from a length-k tuple whose coordinates already lie in [0, p)."""
+def _reduced(ops: _CoordOps, coords: tuple[int, ...]) -> FieldElement:
+    """Element of ops's field from a length-k tuple already in [0, p)."""
     e = object.__new__(FieldElement)
-    e.spec = spec
+    e.spec = ops.spec
     e.coords = coords
+    e._ops = ops
     return e
 
 
-def _mul_coords(
-    a: tuple[int, ...], b: tuple[int, ...], p: int, modulus: tuple[int, ...]
-) -> tuple[int, ...]:
-    # schoolbook product followed by one reduction
-    k = len(a)
-    prod = [0] * (2 * k - 1)
+def _schoolbook(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
+    """The unreduced product of two coordinate tuples: 2k-1 integers."""
+    prod = [0] * (2 * len(a) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
                 prod[i + j] += ai * bj
-    return _reduce_coords(prod, p, modulus)[0]
+    return prod
+
+
+class _CoordOps:
+    """One field's arithmetic on canonical coordinate tuples (length k,
+    entries in [0, p)): add, sub, neg, mul, inv of a nonzero tuple,
+    frob(a, i=1) = a^(p^i), dot(xs, ys) = the sum of x * y over the pairs and
+    submul(xs, c, ys) = [x - c * y for each pair]."""
+
+    def __init__(self, spec: FieldSpec):
+        self.spec = spec
+        p, k, modulus = spec
+        self.zero, self.one = zero, one = (0,) * k, (1,) + (0,) * (k - 1)
+        if k == 1:  # one coordinate, and the modulus plays no role
+            self.add = lambda a, b: ((a[0] + b[0]) % p,)
+            self.sub = lambda a, b: ((a[0] - b[0]) % p,)
+            self.neg = lambda a: (-a[0] % p,)
+            self.mul = lambda a, b: (a[0] * b[0] % p,)
+            self.inv = lambda a: (pow(a[0], -1, p),)
+            self.frob = lambda a, i=1: a
+            self.dot = lambda xs, ys: (sum([x[0] * y[0] for x, y in zip(xs, ys)]) % p,)
+            self.submul = lambda xs, c, ys: [
+                ((x[0] - c[0] * y[0]) % p,) for x, y in zip(xs, ys)
+            ]
+            return
+
+        def mul(a, b):
+            return _reduce_coords(_schoolbook(a, b), p, modulus)[0]
+
+        def dot(xs, ys):  # the products summed unreduced, then one reduction
+            acc = [sum(c) for c in zip(*map(_schoolbook, xs, ys))]
+            return _reduce_coords(acc, p, modulus)[0]
+
+        def submul(xs, c, ys):
+            c = self.neg(c)
+            return [dot((one, c), (x, y)) for x, y in zip(xs, ys)]
+
+        self.add = lambda a, b: tuple([(x + y) % p for x, y in zip(a, b)])
+        self.sub = lambda a, b: tuple([(x - y) % p for x, y in zip(a, b)])
+        self.neg = lambda a: tuple([-x % p for x in a])
+        self.mul = mul
+        self.inv = lambda a: _power(a, p**k - 2, one, mul)
+        self.frob = lambda a, i=1: _power(a, p ** (i % k), one, mul)
+        self.dot, self.submul = dot, submul
+
+
+# each field's one set, built on first use; equal specs share it
+_coord_ops = functools.cache(_CoordOps)
 
 
 def _reduce_coords(

@@ -8,7 +8,9 @@ iterate A^(sigma^(g-1)) * ... * A^(sigma) * A, sigma the entrywise p-power map.
 
 The matrix is always built from actual kappa coefficients; the structural
 zero patterns are enforced as tests, never as construction shortcuts, so a
-bug cannot hide behind an assumed zero.
+bug cannot hide behind an assumed zero.  The matrix holds FieldElements;
+rank, the matrix products and the p-rank's Frobenius twist run on their
+coordinate tuples (``fields._CoordOps``), each entry's read once.
 
 Only odd-degree models are supported.  Even degree would need a different
 kappa-to-matrix rule and is rejected loudly (``UnsupportedDegreeError``)
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .fields import FieldElement, FieldSpec
+from .fields import FieldElement, FieldSpec, _CoordOps, _coord_ops
 from .poly import Poly, half_power, is_squarefree
 
 __all__ = [
@@ -110,31 +112,28 @@ def cartier_matrix(curve: Curve) -> CartierMatrix:
     return CartierMatrix(spec, g, entries)
 
 
-def _rank_of_rows(rows: list[list[FieldElement]]) -> int:
-    """Exact rank by Gaussian elimination over the field (mutates rows)."""
-    if not rows:
-        return 0
-    m, n = len(rows), len(rows[0])
+def _entry_coords(matrix: CartierMatrix) -> list[list[tuple[int, ...]]]:
+    return [[e.coords for e in row] for row in matrix.entries]
+
+
+def _rank_of_rows(rows: list[list[tuple[int, ...]]], ops: _CoordOps) -> int:
+    """Exact rank of a matrix of coordinate tuples by Gaussian elimination."""
+    rows = [list(row) for row in rows]
+    m, n = len(rows), len(rows[0]) if rows else 0
     r = 0
     for col in range(n):
-        pivot = None
-        for i in range(r, m):
-            if not rows[i][col].is_zero:
-                pivot = i
-                break
-        if pivot is None:
+        pivot = r
+        while pivot < m and not any(rows[pivot][col]):
+            pivot += 1
+        if pivot == m:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         prow = rows[r]
-        pinv = prow[col].inv()
+        pinv = ops.inv(prow[col])
         for i in range(r + 1, m):
             c = rows[i][col]
-            if c.is_zero:
-                continue
-            factor = c * pinv
-            row = rows[i]
-            for j in range(col, n):
-                row[j] = row[j] - factor * prow[j]
+            if any(c):
+                rows[i][col:] = ops.submul(rows[i][col:], ops.mul(c, pinv), prow[col:])
         r += 1
         if r == m:
             break
@@ -142,31 +141,21 @@ def _rank_of_rows(rows: list[list[FieldElement]]) -> int:
 
 
 def rank(matrix: CartierMatrix) -> int:
-    return _rank_of_rows([list(row) for row in matrix.entries])
+    return _rank_of_rows(_entry_coords(matrix), _coord_ops(matrix.spec))
 
 
 def a_number(curve: Curve) -> int:
     return curve.genus - rank(cartier_matrix(curve))
 
 
-def _matmul(
-    x: list[list[FieldElement]], y: list[list[FieldElement]], zero: FieldElement
-) -> list[list[FieldElement]]:
+def _matmul(x: list[list], y: list[list], ops: _CoordOps) -> list[list]:
     cols = list(zip(*y))
-    out = []
-    for row in x:
-        out_row = []
-        for col in cols:
-            acc = zero
-            for a, b in zip(row, col):
-                acc = acc + a * b
-            out_row.append(acc)
-        out.append(out_row)
-    return out
+    return [[ops.dot(row, col) for col in cols] for row in x]
 
 
-def _p_rank_of_matrix(matrix: CartierMatrix) -> int:
-    """Rank of A^(sigma^(g-1)) * ... * A^(sigma) * A.
+def _p_rank_of_rows(rows: list[list[tuple[int, ...]]], ops: _CoordOps) -> int:
+    """Rank of A^(sigma^(g-1)) * ... * A^(sigma) * A, A given by the
+    coordinate rows.
 
     The Cartier operator sends coordinates c to (A c)^(sigma^-1), so its
     g-th iterate is (A^(sigma^-1) * ... * A^(sigma^-g)) c^(sigma^-g), whose
@@ -176,18 +165,16 @@ def _p_rank_of_matrix(matrix: CartierMatrix) -> int:
     entrywise Frobenius of this one); over F_{p^k} with k >= 3 its rank can
     differ.
     """
-    g = matrix.g
-    zero = matrix.spec.zero
-    prod = [list(row) for row in matrix.entries]
-    twisted = [list(row) for row in matrix.entries]
-    for _ in range(1, g):
-        twisted = [[e.frobenius(1) for e in row] for row in twisted]
-        prod = _matmul(twisted, prod, zero)
-    return _rank_of_rows(prod)
+    prod = twisted = rows
+    for _ in range(1, len(rows)):
+        twisted = [[ops.frob(e) for e in row] for row in twisted]
+        prod = _matmul(twisted, prod, ops)
+    return _rank_of_rows(prod, ops)
 
 
 def p_rank(curve: Curve) -> int:
-    return _p_rank_of_matrix(cartier_matrix(curve))
+    rows = _entry_coords(cartier_matrix(curve))
+    return _p_rank_of_rows(rows, _coord_ops(curve.f.spec))
 
 
 def invariants(f: Poly) -> Invariants:
@@ -197,12 +184,13 @@ def invariants(f: Poly) -> Invariants:
     properties, not curve invariants, and callers must not drop the flag.
     """
     curve = make_curve(f)
-    matrix = cartier_matrix(curve)
+    rows = _entry_coords(cartier_matrix(curve))
+    ops = _coord_ops(f.spec)
     return Invariants(
         genus=curve.genus,
         smooth=curve.smooth,
-        rank_a=rank(matrix),
-        p_rank=_p_rank_of_matrix(matrix),
+        rank_a=_rank_of_rows(rows, ops),
+        p_rank=_p_rank_of_rows(rows, ops),
     )
 
 

@@ -4,9 +4,10 @@ Coefficients are stored ascending with no trailing zeros; the zero polynomial
 has an empty coefficient tuple and degree ``NEG_INFINITY``.  All operations
 are pure and exact.  Multiplication is schoolbook on purpose: every
 polynomial in scope has degree at most a few hundred, where schoolbook wins.
-It is one loop over integer coordinates: each output coefficient accumulates
-its unreduced coordinate products and is reduced once, by the step an
-element product uses (``fields._reduce_coords``).
+It is one loop over integer coordinates, each output coefficient reduced
+once (``fields._reduce_coords``).  Euclid's division and gcd run on the
+coefficients' coordinate tuples (``fields._CoordOps``) and build a Poly only
+for what they return.
 
 Text format: comma-separated ascending coefficients in the field element text
 format, e.g. over F_7 "0,1,0,0,0,0,0,0,0,1" is x + x^9 and over F_9
@@ -20,6 +21,8 @@ from typing import Iterable, Sequence
 from .fields import (
     FieldElement,
     FieldSpec,
+    _CoordOps,
+    _coord_ops,
     _power,
     _prime_factors,
     _reduce_coords,
@@ -142,8 +145,7 @@ class Poly:
         for m, x in xs:
             for n, y in ys:
                 acc[m + n] += x * y
-        coords = _reduce_coords(acc, spec.p, spec.modulus)
-        return Poly(spec, [_reduced(spec, c) for c in coords])
+        return _from_coords(spec, _reduce_coords(acc, spec.p, spec.modulus))
 
     def __rmul__(self, other: FieldElement) -> "Poly":
         return self * other
@@ -165,21 +167,8 @@ class Poly:
         self._same_field(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        if self.degree < other.degree:
-            return Poly.zero(self.spec), self
-        lead_inv = other.leading.inv()
-        rem = list(self.coeffs)
-        db = len(other.coeffs) - 1
-        quot = [self.spec.zero] * (len(rem) - db)
-        for i in range(len(rem) - db - 1, -1, -1):
-            c = rem[db + i]
-            if c.is_zero:
-                continue
-            q = c * lead_inv
-            quot[i] = q
-            for j in range(db + 1):
-                rem[i + j] = rem[i + j] - q * other.coeffs[j]
-        return Poly(self.spec, quot), Poly(self.spec, rem[:db])
+        q, r = _divmod_coords(_coords(self), _coords(other), _coord_ops(self.spec))
+        return _from_coords(self.spec, q), _from_coords(self.spec, r)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -214,6 +203,39 @@ class Poly:
         return f"Poly({self.text()!r} over {self.spec})"
 
 
+def _coords(f: Poly) -> list[tuple[int, ...]]:
+    return [c.coords for c in f.coeffs]
+
+
+def _from_coords(spec: FieldSpec, coords: Sequence[tuple[int, ...]]) -> Poly:
+    ops = _coord_ops(spec)
+    return Poly(spec, [_reduced(ops, c) for c in coords])
+
+
+def _divmod_coords(a: list, b: list, ops: _CoordOps) -> tuple[list, list]:
+    """Quotient and remainder of coordinate lists, b's last entry nonzero.
+    The remainder keeps its len(b) - 1 entries, zeros included."""
+    db = len(b) - 1
+    rem = list(a)
+    quot = [ops.zero] * max(0, len(rem) - db)
+    lead_inv = ops.inv(b[db])
+    for i in range(len(quot) - 1, -1, -1):
+        c = rem[db + i]
+        if any(c):
+            q = quot[i] = ops.mul(c, lead_inv)
+            rem[i : db + i] = ops.submul(rem[i : db + i], q, b)
+    return quot, rem[:db]
+
+
+def _gcd_coords(a: list, b: list, ops: _CoordOps) -> list:
+    """Euclid's gcd of coordinate lists with nonzero last entries, not monic."""
+    while b:
+        a, b = b, _divmod_coords(a, b, ops)[1]
+        while b and not any(b[-1]):
+            b.pop()
+    return a
+
+
 def parse_poly(spec: FieldSpec, text: str) -> Poly:
     """Parse the polynomial text format over ``spec``."""
     t = text.strip()
@@ -236,21 +258,18 @@ def half_power(f: Poly) -> Poly:
 
 def derivative(f: Poly) -> Poly:
     """Formal derivative; terms with p | i vanish."""
-    spec = f.spec
-    return Poly(
-        spec,
-        (spec.element(i) * c for i, c in enumerate(f.coeffs) if i > 0),
-    )
+    p = f.spec.p
+    coords = [tuple([i * x % p for x in c.coords]) for i, c in enumerate(f.coeffs)]
+    return _from_coords(f.spec, coords[1:])
 
 
 def gcd(f: Poly, g: Poly) -> Poly:
     """Monic greatest common divisor by Euclid; error when both are zero."""
     if f.is_zero and g.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
-    a, b = f, g
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+    f._same_field(g)
+    h = _gcd_coords(_coords(f), _coords(g), _coord_ops(f.spec))
+    return _from_coords(f.spec, h).monic()
 
 
 def is_squarefree(f: Poly) -> bool:
@@ -261,10 +280,8 @@ def is_squarefree(f: Poly) -> bool:
     """
     if f.is_zero or f.degree < 1:
         raise ValueError("squarefree test needs degree >= 1")
-    fp = derivative(f)
-    if fp.is_zero:
-        return False
-    return gcd(f, fp).degree == 0
+    df = _coords(derivative(f))
+    return bool(df) and len(_gcd_coords(_coords(f), df, _coord_ops(f.spec))) == 1
 
 
 def _powmod(base: Poly, n: int, mod: Poly) -> Poly:

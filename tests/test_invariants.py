@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +21,7 @@ from cartier import (
     rank,
     report_fragment,
 )
+from cartier.fields import random_element
 
 
 def entries_text(m):
@@ -218,11 +221,176 @@ class TestStructuralIdentities:
             checked += 1
 
     def test_rank_invariant_under_entrywise_frobenius(self, F9):
-        from cartier.invariants import CartierMatrix, _rank_of_rows
+        from cartier.invariants import CartierMatrix
 
         rng = random.Random(5)
         for _ in range(100):
             f = random_normalized_poly(F9, 3, rng)
             m = cartier_matrix(make_curve(f))
-            twisted = [[e.frobenius(1) for e in row] for row in m.entries]
-            assert _rank_of_rows([list(r) for r in m.entries]) == _rank_of_rows(twisted)
+            twisted = tuple(tuple(e.frobenius(1) for e in row) for row in m.entries)
+            assert rank(m) == rank(CartierMatrix(F9, 3, twisted))
+
+
+# The FieldElement forms of rank, matrix product and p-rank that the
+# coordinate-tuple loops in cartier.invariants replaced, kept as their oracle.
+
+
+def _oracle_rank_of_rows(rows):
+    rows = [list(row) for row in rows]
+    if not rows:
+        return 0
+    m, n = len(rows), len(rows[0])
+    r = 0
+    for col in range(n):
+        pivot = None
+        for i in range(r, m):
+            if not rows[i][col].is_zero:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        prow = rows[r]
+        pinv = prow[col].inv()
+        for i in range(r + 1, m):
+            c = rows[i][col]
+            if c.is_zero:
+                continue
+            factor = c * pinv
+            row = rows[i]
+            for j in range(col, n):
+                row[j] = row[j] - factor * prow[j]
+        r += 1
+        if r == m:
+            break
+    return r
+
+
+def _oracle_matmul(x, y, zero):
+    cols = list(zip(*y))
+    out = []
+    for row in x:
+        out_row = []
+        for col in cols:
+            acc = zero
+            for a, b in zip(row, col):
+                acc = acc + a * b
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+def _oracle_p_rank(rows, zero, reverse=False):
+    # A^(sigma^(g-1)) * ... * A^(sigma) * A, or A * ... * A^(sigma^(g-1))
+    prod = twisted = rows
+    for _ in range(1, len(rows)):
+        twisted = [[e.frobenius(1) for e in row] for row in twisted]
+        if reverse:
+            prod = _oracle_matmul(prod, twisted, zero)
+        else:
+            prod = _oracle_matmul(twisted, prod, zero)
+    return _oracle_rank_of_rows(prod)
+
+
+def _random_matrix(F, rng, m, n, zeros=0.0):
+    return [
+        [F.zero if rng.random() < zeros else random_element(F, rng) for _ in range(n)]
+        for _ in range(m)
+    ]
+
+
+def _coord_rows(rows):
+    return [[e.coords for e in row] for row in rows]
+
+
+class TestCoordinateTupleLoops:
+    """Rank, matrix product and p-rank on coordinate tuples against their
+    FieldElement forms, on full-rank, sparse and rank-deficient matrices."""
+
+    FIELDS = [(7, 1), (3, 2), (7, 2), (3, 3)]
+
+    def _matrices(self, F, rng):
+        for _ in range(40):
+            g = rng.randint(1, 4)
+            yield _random_matrix(F, rng, g, g)
+            yield _random_matrix(F, rng, g, g, zeros=0.6)
+            # rank at most r: a g x r times an r x g product
+            r = rng.randint(1, g)
+            left = _random_matrix(F, rng, g, r)
+            yield _oracle_matmul(left, _random_matrix(F, rng, r, g), F.zero)
+            # repeated and zero rows
+            row = [random_element(F, rng) for _ in range(g)]
+            yield [list(row), [F.zero] * g, [c * c for c in row]][:g] + [row] * (g - 3)
+
+    @pytest.mark.parametrize("p,k", FIELDS)
+    def test_rank_matches_the_field_element_oracle(self, p, k):
+        from cartier.fields import _coord_ops
+        from cartier.invariants import _rank_of_rows
+
+        F = make_field(p, k)
+        rng = random.Random(6100 + 10 * p + k)
+        ranks = set()
+        for rows in self._matrices(F, rng):
+            expected = _oracle_rank_of_rows(rows)
+            coords = _coord_rows(rows)
+            assert _rank_of_rows(coords, _coord_ops(F)) == expected
+            assert coords == _coord_rows(rows)  # the input is left as it was
+            ranks.add((len(rows), expected))
+        assert any(r < g for g, r in ranks) and any(r == g > 1 for g, r in ranks)
+
+    @pytest.mark.parametrize("p,k", FIELDS)
+    def test_matmul_matches_the_field_element_oracle(self, p, k):
+        from cartier.fields import _coord_ops
+        from cartier.invariants import _matmul
+
+        F = make_field(p, k)
+        rng = random.Random(6200 + 10 * p + k)
+        for x, y in zip(self._matrices(F, rng), self._matrices(F, rng)):
+            n = min(len(x[0]), len(y))
+            x, y = [row[:n] for row in x], y[:n]
+            expected = _coord_rows(_oracle_matmul(x, y, F.zero))
+            assert _matmul(_coord_rows(x), _coord_rows(y), _coord_ops(F)) == expected
+
+    @pytest.mark.parametrize("p,k", FIELDS)
+    def test_p_rank_matches_the_field_element_oracle(self, p, k):
+        from cartier.fields import _coord_ops
+        from cartier.invariants import _p_rank_of_rows
+
+        F = make_field(p, k)
+        rng = random.Random(6300 + 10 * p + k)
+        for rows in self._matrices(F, rng):
+            assert _p_rank_of_rows(_coord_rows(rows), _coord_ops(F)) == _oracle_p_rank(
+                rows, F.zero
+            )
+
+    def test_p_rank_takes_the_product_in_order_over_f27(self):
+        # rank one, A = u v^T: the product A^(sigma^(g-1)) ... A is nonzero iff
+        # v^sigma . u != 0, the reverse one iff v . u^sigma != 0; over F_27 the
+        # two differ, so a swapped product shows on some of these
+        from cartier.fields import _coord_ops
+        from cartier.invariants import _p_rank_of_rows
+
+        F = make_field(3, 3)
+        rng = random.Random(6400)
+        differ = 0
+        for _ in range(400):
+            g = rng.randint(2, 3)
+            u = _random_matrix(F, rng, g, 1)
+            v = _random_matrix(F, rng, 1, g)
+            rows = _oracle_matmul(u, v, F.zero)
+            expected = _oracle_p_rank(rows, F.zero)
+            assert _p_rank_of_rows(_coord_rows(rows), _coord_ops(F)) == expected
+            differ += expected != _oracle_p_rank(rows, F.zero, reverse=True)
+        assert differ >= 5
+
+
+def test_golden_witnesses_recompute_to_their_fragments():
+    # every witness of the benchmark's witness-heavy report (read only)
+    path = Path(__file__).parent.parent / "perfbench/golden/witness-heavy.json"
+    doc = json.loads(path.read_text())
+    spec = doc["spec"]
+    F = make_field(spec["p"], spec["k"], spec["modulus"])
+    assert len(doc["witnesses"]) == 247
+    for frag in doc["witnesses"]:
+        f = parse_poly(F, ",".join(frag["coeffs"]))
+        assert report_fragment(f, invariants(f)) == frag

@@ -66,6 +66,25 @@ def test_reducible_modulus_rejected():
         get_kernel(5, 2, (1, 0, 1))
 
 
+def _reference_matrix_rows(kappa, g, p):
+    # entry by entry, each index bounds-checked
+    n = len(kappa)
+    return [
+        [kappa[p * i - j] if 0 <= p * i - j < n else 0 for j in range(1, g + 1)]
+        for i in range(1, g + 1)
+    ]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_matrix_rows_match_the_entrywise_reference(p):
+    rng = random.Random(4100 + p)
+    for g in range(1, 9):
+        # kappa from empty through past p*g, so rows run off either end
+        for n in range(0, p * g + g + 3):
+            kappa = [rng.randrange(1, p) for _ in range(n)]
+            assert matrix_rows(kappa, g, p) == _reference_matrix_rows(kappa, g, p)
+
+
 def _check_curve_against_object_layer(kern, F, enc):
     p = F.p
     e = (p - 1) // 2

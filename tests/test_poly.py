@@ -163,6 +163,44 @@ class TestGcd:
             gcd(Poly.zero(F5), Poly.zero(F5))
 
 
+def _random_poly(F, rng, degree, monic=False):
+    cs = [rng.randrange(F.order) for _ in range(degree + 1)]
+    if monic:
+        cs[-1] = 1
+    return Poly.from_ints(F, cs)
+
+
+class TestEuclidOverSmallFields:
+    FIELDS = [(3, 1), (7, 1), (3, 2), (7, 2), (3, 3)]
+
+    @pytest.mark.parametrize("p,k", FIELDS)
+    def test_division_reconstructs(self, p, k):
+        F = make_field(p, k)
+        rng = random.Random(7100 + 10 * p + k)
+        for _ in range(150):
+            a = _random_poly(F, rng, rng.randint(0, 12))
+            b = _random_poly(F, rng, rng.randint(0, 8))
+            if b.is_zero:
+                continue
+            q, r = divmod(a, b)
+            assert q * b + r == a
+            assert r.is_zero or r.degree < b.degree
+
+    @pytest.mark.parametrize("p,k", FIELDS)
+    def test_gcd_scales_by_a_common_monic_factor(self, p, k):
+        F = make_field(p, k)
+        rng = random.Random(7200 + 10 * p + k)
+        for _ in range(80):
+            f = _random_poly(F, rng, rng.randint(0, 7))
+            g = _random_poly(F, rng, rng.randint(0, 7))
+            h = _random_poly(F, rng, rng.randint(1, 4), monic=True)
+            if f.is_zero and g.is_zero:
+                continue
+            d = gcd(f * h, g * h)
+            assert d == h * gcd(f, g)
+            assert (f * h % d).is_zero and (g * h % d).is_zero
+
+
 class TestSquarefree:
     def test_obvious_square(self, F5):
         assert not is_squarefree(parse_poly(F5, "0,0,1"))
@@ -192,6 +230,25 @@ class TestSquarefree:
             f = Poly.from_ints(F3, list(cs) + [1])
             has_square = any((f % (q * q)).is_zero for q in monics)
             assert is_squarefree(f) == (not has_square), f.text()
+
+    @pytest.mark.parametrize("degree", [3, 4])
+    def test_brute_force_oracle_over_f9(self, F9, degree):
+        # oracle by products alone: f is not squarefree iff f = q^2 r for a
+        # monic q of degree >= 1 and a monic r
+        def monics(d):
+            return [
+                Poly.from_ints(F9, [*cs, 1])
+                for cs in itertools.product(range(9), repeat=d)
+            ]
+
+        squareful = {
+            q * q * r
+            for d in range(1, degree // 2 + 1)
+            for q in monics(d)
+            for r in monics(degree - 2 * d)
+        }
+        for f in monics(degree):
+            assert is_squarefree(f) == (f not in squareful), f.text()
 
 
 class TestIrreducible:
