@@ -36,6 +36,17 @@ time; row 1 first shifts out f's low zeros (``_row1_series``).
 its last column down, and stops at the first nonzero 2x2 minor;
 ``end_rows`` and ``rows_could_be_rank_le_1`` are its reference.
 
+A random piece of at least ``_COLUMN_LANES`` draws that counts squarefree
+candidates or runs the end-row test first takes the column pass
+(``_columns``): the cofactor gate, the product and the end-row test for
+every candidate at once, on one byte per candidate (a lane) of one column
+per coefficient, over fields with byte lanes (F_p for p <= 61, F_9, F_25
+and F_49; every other field skips it).  It follows the generic path of
+Euclid and of Miller's series and leaves a candidate undecided where that
+path meets a zero leading coefficient or f[v] = 0.  The scan loop then
+visits only candidates the pass left undecided, which take the scalar
+functions here, and those no decided stage put out; the rest are counted.
+
 A task is a top-coefficient shard of an exhaustive search or a piece of
 assignments: random draws or survivors of ``rank_one_survivors``, the
 search's choice of where the end-row test for rank one (a = g-1) runs.
@@ -115,7 +126,7 @@ class TableKernel:
         self.add = [[index[add(ca, cb)] for cb in coords] for ca in coords]
         self.neg = [(-el).encoding for el in els]
 
-        exp = _unit_powers(spec, els)
+        exp = self.exp = _unit_powers(spec, els)  # exp[i] = g^i
         logs = sorted(range(q - 1), key=exp.__getitem__)  # logs[x - 1] = log x
         exp2 = exp * 2  # g^i for i < 2(q-1): sums of two logs need no mod
         self.mul = [[0] * q] + [[0] + [exp2[la + lb] for lb in logs] for la in logs]
@@ -428,22 +439,19 @@ def end_rows_rank_le_1(kern, f, g):
     return True
 
 
-def squarefree_test(kern, factor):
-    """A test of the cofactor u equal to ``kern.is_squarefree`` of f =
-    factor * u (no factor: f = u), for u of exact degree len(u) - 1, without
-    the product: f is squarefree exactly when the factor F and u are and
-    gcd(F, u) = 1.  Once per F come F's roots R in F_q and N = F / prod(x -
-    r); each u is checked for u(r) != 0 on R (Horner), gcd(u, N) = 1 when
-    deg N >= 1, and squarefree (a constant u is)."""
-    is_squarefree = kern.is_squarefree
+def _cofactor_split(kern, factor):
+    """(R, N) for the fixed factor F: F's roots R in F_q and N = F /
+    prod(x - r), by synthetic division; f = F u is squarefree exactly when
+    u is, u(r) != 0 on R and gcd(u, N) = 1.  ([], [1]) without a factor or
+    with a constant one, and None when F is not squarefree."""
     if not factor or len(factor) == 1:
-        return is_squarefree
-    if not is_squarefree(factor):
-        return lambda u: False
+        return [], [1]
+    if not kern.is_squarefree(factor):
+        return None
     add = kern.add
     mul = kern.mul
     roots = []
-    rest = list(factor)  # N, by synthetic division by each x - r
+    rest = list(factor)
     for r in range(kern.q):
         acc = 0
         quot = []
@@ -453,6 +461,25 @@ def squarefree_test(kern, factor):
         if not acc:
             roots.append(r)
             rest = quot[-2::-1]
+    return roots, rest
+
+
+def squarefree_test(kern, factor):
+    """A test of the cofactor u equal to ``kern.is_squarefree`` of f =
+    factor * u (no factor: f = u), for u of exact degree len(u) - 1, without
+    the product: f is squarefree exactly when the factor F and u are and
+    gcd(F, u) = 1.  Once per F come F's roots R and N (``_cofactor_split``);
+    each u is checked for u(r) != 0 on R (Horner), gcd(u, N) = 1 when deg N
+    >= 1, and squarefree (a constant u is)."""
+    is_squarefree = kern.is_squarefree
+    split = _cofactor_split(kern, factor)
+    if split is None:
+        return lambda u: False
+    roots, rest = split
+    if not roots and len(rest) == 1:
+        return is_squarefree
+    add = kern.add
+    mul = kern.mul
     zero_root = 0 in roots  # u(0) is u[0]
     root_rows = [mul[r] for r in roots if r]
 
@@ -726,6 +753,16 @@ def squarefree_count(kern, f0, basis):
     return total
 
 
+# the draws a random piece needs for the column pass (``_columns``).  Its
+# fixed cost, once per process, is the module's import, 4.5-5 ms with the
+# source compiled afresh, and its tables, about 0.4 ms for F_49 or F_61.  It
+# saves about 13.5 us a lane on a rank-one piece (script 2: 15.0-15.4 us
+# against 1.8 us a candidate) and 0.4-4 us on one that runs the gate alone,
+# so a rank-one piece repays it from about 5.4 ms / 13.5 us = 400 lanes.
+# Set-up runs, shards and survivor pieces never load the module
+_COLUMN_LANES = 512
+
+
 def scan(task: dict) -> dict:
     """Run one task of a search; pure function of the task description.
 
@@ -743,6 +780,11 @@ def scan(task: dict) -> dict:
     half power and rank.  A task that does not count tests u only under
     ``require_smooth``, after the rank test, just before the rank match is
     counted.  Then the p-rank.
+
+    A large enough random piece first takes the column pass (see the module
+    docstring; ``_columns`` is imported only then): the loop takes its
+    product and the verdicts it decided, runs a scalar test only where it
+    left one undecided, and never sees a candidate it decided out.
     """
     kern = get_kernel(task["p"], task["k"], tuple(task["modulus"]))
     q = kern.q
@@ -772,37 +814,50 @@ def scan(task: dict) -> dict:
     rank = kern.rank
     p_rank = kern.p_rank
 
+    n_sq = 0
+    passed = None
     if "draws" in task:
         slots = free
-        candidates = zip(*[iter(task["draws"])] * len(slots))
+        values = zip(*[iter(task["draws"])] * len(slots))
+        if (count_squarefree or prefilter) and task["count"] >= _COLUMN_LANES:
+            from ._columns import column_pass
+
+            passed = column_pass(kern, task, u)
     else:
         # the shard fixes the top free coefficient; product varies its last
         # slot fastest, so the lowest free index moves fastest
         if free:
             u[free[-1]] = task["top"]
         slots = free[-2::-1]
-        candidates = itertools.product(range(q), repeat=len(slots))
+        values = itertools.product(range(q), repeat=len(slots))
+    if passed is None:  # nothing known: the gate, product and end-row test run here
+        candidates = zip(values, *[itertools.repeat(None)] * 3)
+    else:
+        n_sq, candidates = passed
     filtered = target_rank is not None or target_p_rank is not None
 
-    n_sq = 0
     n_rank = 0
     n_pr = 0
     wits: list[list[int]] = []
 
-    for vals in candidates:
+    for vals, sq, rows_pass, f in candidates:
         for i, v in zip(slots, vals):
             u[i] = v
 
         if count_squarefree:
-            sq = squarefree(u)
+            if sq is None:
+                sq = squarefree(u)
             if sq:
                 n_sq += 1
             if require_smooth and not sq:
                 continue
-        f = poly_mul_trunc(factor, u, degree + 1) if factor else u
+        if f is None:
+            f = poly_mul_trunc(factor, u, degree + 1) if factor else u
 
         if filtered:
-            if prefilter and not end_rows_rank_le_1(kern, f, g):
+            if prefilter and not (
+                end_rows_rank_le_1(kern, f, g) if rows_pass is None else rows_pass
+            ):
                 continue
             kappa = poly_pow(f, e)
             rows = matrix_rows(kappa, g, p)

@@ -78,11 +78,15 @@ _RANDOM_SHARD_SAMPLES = 100_000
 _PIECE = 2_500
 # the candidates that repay a pool: on a 2-core Xeon host the fork pool's
 # import, start and teardown cost about 10-12 ms, and the per-candidate path
-# 15-30 us a candidate (kernel.scan_us_per_cand of perfbench/run.py --trace 1
-# on script2-f49 and witness-heavy).  A second worker saves half the scan,
-# which repays that cost from 2 x (10-12 ms) / (15-30 us), about 700-1 600
-# candidates; a sieve-counted task costs less a candidate, so it breaks even
-# later, not sooner.  A search of at most this many runs in this process
+# of shards and survivor pieces 15-30 us a candidate (kernel.scan_us_per_cand
+# of perfbench/run.py --trace 1 on witness-heavy).  A second worker saves
+# half the scan, which repays that cost from 2 x (10-12 ms) / (15-30 us),
+# about 700-1 600 candidates; a sieve-counted task costs less a candidate,
+# so it breaks even later, not sooner.  A random piece the column pass takes
+# costs about 1.8 us a candidate (script2-f49), so it repays a pool only past
+# 11 000-13 000; there script 2's 20 000 samples took 44-46 ms in-process at
+# two workers against 38-40 ms at one.  A search of at most this many runs
+# in this process
 _WORKER_CANDIDATES = 1_000
 
 

@@ -2,7 +2,13 @@
 layer, which is the reference implementation."""
 
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
+from array import array
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +26,7 @@ from cartier import (
     parse_poly,
     run_search,
 )
+from cartier import _columns
 from cartier._kernel import (
     TableKernel,
     _irreducibles,
@@ -39,6 +46,7 @@ from cartier.invariants import rank as obj_rank
 from cartier.search import DEFAULT_BUDGET, _affine_form, _make_tasks
 
 FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (7, 2)]
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _encodings(poly, length):
@@ -633,3 +641,292 @@ def test_irreducible_counts_match_gauss(p, k, top):
             poly = Poly.from_ints(F, h)
             assert all(poly(x) for x in elements), (q, h)
     assert len(found) == top
+
+
+# ---------------------------------------------------------------------------
+# the column pass: byte lanes against the kernel's tables and the scalar path
+
+LANE_FIELDS = [
+    (p, 1) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+] + [(3, 2), (5, 2), (7, 2)]
+
+
+def _lanes(p, k):
+    kern = get_kernel(p, k, make_field(p, k).modulus)
+    return kern, _columns.lanes_for(kern)
+
+
+@pytest.mark.parametrize("p, k", LANE_FIELDS)
+def test_column_ops_match_the_kernel_tables(p, k):
+    # lane i holds the i-th of all q^2 pairs (x, y)
+    kern, L = _lanes(p, k)
+    q = kern.q
+    xs = [x for x in range(q) for _ in range(q)]
+    ys = list(range(q)) * q
+    a = bytes(xs).translate(L.encode)
+    b = bytes(ys).translate(L.encode)
+
+    def decoded(col):
+        return list(col.translate(L.decode))
+
+    assert decoded(a) == xs and decoded(L.column(q - 1, 3)) == [q - 1] * 3
+    assert decoded(L.add(a, b)) == [kern.add[x][y] for x, y in zip(xs, ys)]
+    assert decoded(L.neg(a)) == [kern.neg[x] for x in xs]
+    difference = [kern.add[x][kern.neg[y]] for x, y in zip(xs, ys)]
+    assert decoded(L.add(a, L.neg(b))) == difference
+    assert decoded(L.inv(a)) == [kern.inv[x] for x in xs]
+    assert decoded(L.mul(a, b)) == [kern.mul[x][y] for x, y in zip(xs, ys)]
+    for c in range(q):
+        assert decoded(L.scale(a, c)) == [kern.mul[c][x] for x in xs]
+    for c in {0, 1, q - 1, kern.exp[1]}:
+        product = [kern.mul[c][kern.mul[x][y]] for x, y in zip(xs, ys)]
+        assert decoded(L.mul(a, b, c)) == product
+    zeros = L.zeros(a).to_bytes(len(a), "little")
+    assert list(zeros) == [int(x == 0) for x in xs]
+
+
+@pytest.mark.parametrize("p, k", [(3, 3), (3, 4), (5, 3), (11, 2), (67, 1), (71, 1)])
+def test_fields_without_byte_lanes_skip_the_pass(p, k):
+    # F_27, F_81, F_125 and F_121 need more than 8 bits of coordinates;
+    # from p = 67 on, two logs can add past 255
+    assert _lanes(p, k)[1] is None
+
+
+def _piece(spec, values):
+    """A piece of the random search ``spec`` holding the given cofactor
+    values (ascending free index), one candidate each."""
+    task = _make_tasks(spec._replace(samples=1), DEFAULT_BUDGET)[0]
+    draws = array("B", [v for vals in values for v in vals])
+    return dict(task, draws=draws, count=len(draws) // len(task["free"]))
+
+
+def _check_lanes(kern, task):
+    """Every lane's product and every verdict the pass decided against the
+    scalar path; returns the lanes' (u, f, squarefree, rows pass) with the
+    pass's verdicts, None where undecided."""
+    degree = task["degree"]
+    factor = task["factor"]
+    u0 = [0] * (degree + 1 - (len(factor) - 1 if factor else 0))
+    for i, x in task["fixed"]:
+        u0[i] = x
+    L = _columns.lanes_for(kern)
+    codes, f_cols = _columns.lane_codes(L, task, u0)
+    sq_test = squarefree_test(kern, factor)
+    nf = len(task["free"])
+    lanes = []
+    for lane, code in enumerate(codes):
+        u = list(u0)
+        for i, x in zip(task["free"], task["draws"][lane * nf : lane * nf + nf]):
+            u[i] = x
+        f = kern.poly_mul_trunc(factor, u, degree + 1) if factor else u
+        assert [col[lane] for col in f_cols] == [L.form[x] for x in f]
+        sq, ok, _ = _columns._verdicts(code, task)
+        if sq is not None:
+            assert sq == sq_test(u), u
+        if ok is not None:
+            assert ok == end_rows_rank_le_1(kern, f, (degree - 1) // 2), f
+        lanes.append((u, f, sq, ok))
+    return lanes
+
+
+# (p, k, genus, fixed, factor): cofactor values as encodings
+PASS_FAMILIES = [
+    (7, 2, 4, {7: 1}, [0, 6, 1]),  # script 2: x(x - 1) u over F_49
+    (5, 1, 3, {0: 0, 7: 1}, None),
+    (5, 2, 3, {7: 1}, None),
+    (7, 1, 3, {4: 1}, [0, 1, 0, 1]),  # x(x^2 + 1): N = x^2 + 1
+    (11, 1, 2, {5: 1}, None),
+    (13, 1, 4, {0: 0, 9: 1}, None),
+    (61, 1, 2, {0: 0, 5: 1}, None),
+]
+
+
+@pytest.mark.parametrize("p, k, genus, fixed, factor", PASS_FAMILIES)
+def test_column_pass_verdicts_equal_the_scalar_path(p, k, genus, fixed, factor):
+    # seeded random pieces with the prefilter on, with and without a factor
+    # and a low zero, genus 2 (one minor) to 4
+    F = make_field(p, k)
+    kern = get_kernel(p, k, F.modulus)
+    spec = SearchSpec(
+        field=F,
+        degree=2 * genus + 1,
+        fixed={i: F.from_encoding(x) for i, x in fixed.items()},
+        samples=2500,
+        seed=p * k + genus,
+        target_a=genus - 1,
+        factor=Poly.from_ints(F, factor) if factor else None,
+    )
+    (task,) = _make_tasks(spec, DEFAULT_BUDGET)
+    assert task["prefilter"] and task["count_squarefree"]
+    lanes = _check_lanes(kern, task)
+    assert {sq for _, _, sq, _ in lanes} >= {True, None}
+    assert {ok for _, _, _, ok in lanes} >= {False, None}
+
+
+def _first_open_step(kern, a, b):
+    """The Euclid step at which the generic path of gcd(a, b) meets a
+    divisor with a zero leading coefficient, or None: each remainder kept
+    one entry shorter than its divisor, as the column pass keeps it."""
+    add, mul, neg, inv = kern.add, kern.mul, kern.neg, kern.inv
+    a, b = list(a), list(b)
+    for step in itertools.count():
+        if not b[-1]:
+            return step
+        db = len(b) - 1
+        if not db:
+            return None
+        for i in range(len(a) - 1 - db, -1, -1):
+            c = mul[a[db + i]][inv[b[-1]]]
+            for j in range(db):
+                a[i + j] = add[a[i + j]][neg[mul[c][b[j]]]]
+        a, b = b, a[:db]
+
+
+def test_column_gate_leaves_each_euclid_step_undecided():
+    # every monic cofactor of degree 5 over F_5: u' = 4 c4 x^3 + ... is one
+    # column short, and the lanes whose generic Euclid first meets a zero
+    # leading coefficient at step 0, 1, 2 or 3 (u = x^5 + c among them: u'
+    # = 0) are exactly those the gate leaves open; every other lane is
+    # squarefree
+    F = make_field(5)
+    kern = get_kernel(5, 1, F.modulus)
+    spec = SearchSpec(field=F, degree=5, fixed={5: F.one}, samples=1, seed=1)
+    lanes = _check_lanes(kern, _piece(spec, itertools.product(range(5), repeat=5)))
+    steps = set()
+    for u, _, sq, _ in lanes:
+        step = _first_open_step(kern, u, [i * x % 5 for i, x in enumerate(u)][1:-1])
+        assert (sq is None) == (step is not None), u
+        steps.add(step)
+    assert steps == {None, 0, 1, 2, 3}
+
+
+def test_column_gate_under_a_factor_with_rest():
+    # F = x (x^2 + 1) over F_7: the root 0 decides lanes out, gcd(u, N)
+    # leaves lanes open where u mod N is constant (N is irreducible, so no
+    # linear remainder divides it), and gcd(u, u') at every step past u'
+    # itself, whose leading coefficient is 4
+    F = make_field(7)
+    kern = get_kernel(7, 1, F.modulus)
+    spec = SearchSpec(
+        field=F, degree=7, fixed={4: F.one}, samples=1, seed=1,
+        factor=Poly.from_ints(F, [0, 1, 0, 1]),
+    )
+    lanes = _check_lanes(kern, _piece(spec, itertools.product(range(7), repeat=4)))
+    rest = [1, 0, 1]
+    steps = {"rest": set(), "u'": set()}
+    for u, _, sq, _ in lanes:
+        if not u[0]:
+            assert sq is False
+            continue
+        open_rest = _first_open_step(kern, u, rest)
+        open_du = _first_open_step(kern, u, [i * x % 7 for i, x in enumerate(u)][1:])
+        assert (sq is None) == (open_rest is not None or open_du is not None), u
+        steps["rest"].add(open_rest)
+        steps["u'"].add(open_du)
+    assert steps == {"rest": {None, 1}, "u'": {None, 1, 2, 3}}
+
+
+def test_column_gate_with_u_prime_zero_in_every_lane():
+    # u = x^5 + c over F_5 has u' = 0: the gate leaves every lane open, and
+    # the scalar test finds none squarefree
+    F = make_field(5)
+    kern = get_kernel(5, 1, F.modulus)
+    fixed = {i: F.zero for i in range(1, 5)} | {5: F.one}
+    spec = SearchSpec(field=F, degree=5, fixed=fixed, samples=1, seed=1)
+    lanes = _check_lanes(kern, _piece(spec, [(c,) for c in range(5)] * 120))
+    assert {sq for _, _, sq, _ in lanes} == {None}
+    test = squarefree_test(kern, None)
+    assert not any(test(u) for u, _, _, _ in lanes)
+
+
+@pytest.mark.parametrize("p, fixed, v", [(7, {0: 0, 5: 1}, 1), (11, {5: 1}, 0)])
+def test_column_rows_with_a_low_zero_and_a_zero_row_g(p, fixed, v):
+    # the genus-2 members with the fixed values (over F_11 every 31st): the
+    # end-row test leaves open exactly the lanes with f[v] = 0 (v the
+    # family's low zeros), and lanes with a zero row g (its series' c_(e-1)
+    # = c_e = 0) pass
+    F = make_field(p)
+    kern = get_kernel(p, 1, F.modulus)
+    spec = SearchSpec(
+        field=F, degree=5, fixed={i: F.element(x) for i, x in fixed.items()},
+        samples=1, seed=1, target_a=1,
+    )
+    free = [i for i in range(6) if i not in fixed]
+    values = itertools.product(range(p), repeat=len(free))
+    if p == 11:
+        values = itertools.islice(values, 0, None, 31)
+    lanes = _check_lanes(kern, _piece(spec, values))
+    zero_rows = 0
+    for _, f, _, ok in lanes:
+        assert (ok is None) == (f[v] == 0), f
+        if not any(end_rows(kern, f, 2)[1]):
+            zero_rows += 1
+            assert ok in (True, None)
+    assert zero_rows
+
+
+def test_undecided_pass_keeps_the_pinned_reports(capsys, monkeypatch):
+    # a pass that leaves every lane open at the gate and the end-row test
+    # sends each through the scalar path, which alone must give the reports
+    # pinned before the pass existed
+    real = _columns.lane_codes
+    calls = []
+
+    def undecided(L, task, u):
+        codes, f = real(L, task, u)
+        calls.append(len(codes))
+        return bytes([_columns._GATE_OPEN | _columns._ROWS_OPEN]) * len(codes), f
+
+    monkeypatch.setattr(_columns, "lane_codes", undecided)
+    data = Path(__file__).resolve().parent / "data"
+    pinned = json.loads((data / "pinned.json").read_text())
+    for name in ("script2-seed2", "f5-a1", "f7-factor-a1", "f25-a2-smooth"):
+        for threads in ("1", "2"):
+            assert main([*pinned[name], "--threads", threads]) == 0
+            assert capsys.readouterr().out == (data / f"{name}.json").read_text()
+    assert calls
+
+
+def _workload_runs():
+    """CLI arguments of each benchmark workload's set-up run and of each
+    exhaustive workload run."""
+    doc = json.loads((ROOT / "perfbench" / "workloads.json").read_text())
+    seed = str(doc["default_seed"])
+    runs = {}
+    for name, wl in doc["workloads"].items():
+        runs[f"{name}-setup"] = [a.replace("{seed}", seed) for a in wl["setup_argv"]]
+        if "--exhaustive" in wl["argv"]:
+            runs[name] = wl["argv"]
+    return runs
+
+
+class TestColumnPassImports:
+    """Only a piece of at least ``_COLUMN_LANES`` random draws loads
+    ``cartier._columns``: no benchmark set-up run and no exhaustive run."""
+
+    # cli.main in a fresh interpreter; the last stderr line says whether the
+    # run loaded the pass
+    PROBE = (
+        "import sys\n"
+        "from cartier.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print('cartier._columns' in sys.modules, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    RUNS = _workload_runs()
+
+    def loads_columns(self, *argv):
+        res = subprocess.run(
+            [sys.executable, "-c", self.PROBE, *argv, "--threads", "1"],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        )
+        assert res.returncode == 0, res.stderr
+        return res.stderr.splitlines()[-1] == "True"
+
+    @pytest.mark.parametrize("name", RUNS)
+    def test_setup_and_exhaustive_runs_do_not_load_the_pass(self, name):
+        assert not self.loads_columns(*self.RUNS[name])
+
+    def test_script2_loads_the_pass(self):
+        assert self.loads_columns("reproduce", "--script", "2", "--samples", "600")

@@ -1,8 +1,9 @@
 """Oracles outside the kappa = f^((p-1)/2) pipeline and metamorphic
 relations: Manin's point-count congruence, the p-rank read off the
-L-polynomial of point counts, and invariants that a change of variable, a
-twist or a Frobenius twist of the coefficients must keep, checked in the
-object layer and in the kernel."""
+L-polynomial of point counts, closed-form counts of supersingular elliptic
+curves, and invariants that a change of variable, a twist or a Frobenius
+twist of the coefficients must keep, checked in the object layer and in the
+kernel."""
 
 import functools
 import random
@@ -11,12 +12,14 @@ import pytest
 
 from cartier import (
     Poly,
+    SearchSpec,
     cartier_matrix,
     enumerate_field,
     invariants,
     is_squarefree,
     make_curve,
     make_field,
+    run_search,
 )
 from cartier._kernel import get_kernel, matrix_rows
 from cartier.fields import _coord_ops
@@ -313,3 +316,48 @@ def test_translation_by_a_root_keeps_invariants(p, k):
         assert invariants(image) == invariants(f), f.text()
         assert _kernel_invariants(F, image) == _kernel_invariants(F, f), f.text()
 
+
+
+# Closed-form family counts from the literature (Silverman, The Arithmetic
+# of Elliptic Curves, V.4.1).  A genus-1 curve is supersingular exactly when
+# a = 1 = g, so both searches run the a = g path: the sieve's squarefree
+# count where it counts, and the gcd only on candidates of rank 0.
+
+
+def _supersingular_j_count(p):
+    """S_p, the number of supersingular j-invariants in characteristic p >=
+    5: floor(p/12) + 0, 1, 1 or 2 for p = 1, 5, 7 or 11 mod 12."""
+    return p // 12 + {1: 0, 5: 1, 7: 1, 11: 2}[p % 12]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_eichler_deuring_count_in_the_depressed_family(p, threads):
+    # V.4.1(c): every supersingular j lies in F_(p^2), and for p >= 5 each
+    # j in F_q has q - 1 curves y^2 = x^3 + a x + b, so (q - 1) S_p of the
+    # q^2 - q smooth members match; p = 5, 7, 11, 13 cover every residue
+    F = make_field(p, 2)
+    spec = SearchSpec(
+        field=F, degree=3, fixed={2: F.zero, 3: F.one}, target_a=1,
+        require_smooth=True,
+    )
+    counts = run_search(spec, threads=threads).counts
+    q = p * p
+    assert counts.squarefree == q * q - q
+    assert counts.rank_matched == (q - 1) * _supersingular_j_count(p)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("p", [5, 7])
+def test_igusa_count_in_the_legendre_family(p, threads):
+    # V.4.1(b): y^2 = x(x - 1)(x - lam) is supersingular for (p - 1)/2
+    # values of lam, all in F_(p^2); the cofactor x - lam takes c0 = -lam,
+    # and lam = 0, 1 are the two members that are not smooth
+    F = make_field(p, 2)
+    spec = SearchSpec(
+        field=F, degree=3, fixed={1: F.one}, target_a=1, require_smooth=True,
+        factor=Poly(F, (F.zero, -F.one, F.one)),
+    )
+    counts = run_search(spec, threads=threads).counts
+    assert counts.squarefree == p * p - 2
+    assert counts.rank_matched == (p - 1) // 2
