@@ -2,19 +2,21 @@
 product and rank-one end-row test for every candidate at once.
 
 Private module; ``scan`` imports it only for a piece of at least
-``_kernel._COLUMN_LANES`` random draws.  The piece is laid out as one
-``bytes`` column per coefficient slot, one byte (a lane) per candidate.  An
-element of F_q sits in a lane in sum form: base-p coordinate i in the bit
-field [w i, w (i+1)), w = bit_length(2(p-1)), so two columns add as one big
-integer with no carry out of a field or a lane, and one ``bytes.translate``
-reduces every field mod p.  Scaling by a constant, negation and inverses are
-one translate each.  A lane-by-lane product translates both columns to
-discrete logs (zero to the sentinel Z = 2(q-2)+1), adds them as big integers
-and translates the sums back: a sum below Z is the log of the product, one
-at or past Z had a zero factor.  Byte lanes exist when k w <= 8 and 2Z <=
-255: F_p for p <= 61, F_9, F_25 and F_49.  Every table is read off the
-``TableKernel``'s own add, mul, inv and neg tables and its generator's
-powers, so no field arithmetic is written here a second time.
+``_kernel._COLUMN_LANES`` random draws that runs the end-row test, over a
+field with byte lanes.  The piece is laid out as one ``bytes`` column per
+coefficient slot, one byte (a lane) per candidate.  An element of F_q sits
+in a lane in sum form: base-p coordinate i in the bit field [w i, w (i+1)),
+w = bit_length(2(p-1)), so two columns add as one big integer with no carry
+out of a field or a lane, and one ``bytes.translate`` reduces every field
+mod p.  Scaling by a constant, negation and inverses are one translate
+each.  A lane-by-lane product translates both columns to discrete logs
+(zero to the sentinel Z = 2(q-2)+1), adds them as big integers and
+translates the sums back: a sum below Z is the log of the product, one at
+or past Z had a zero factor.  Byte lanes exist when k w <= 8 and 2Z <= 255
+(``TableKernel.byte_lanes``): F_p for p <= 61, F_9, F_25 and F_49.  Every
+table is read off the ``TableKernel``'s own add, mul, inv and neg tables
+and its generator's powers, so no field arithmetic is written here a second
+time.
 
 The pass follows the generic path of Euclid and of Miller's series.  A lane
 where a divisor's leading coefficient is zero, or where f[v] = 0 at the
@@ -66,15 +68,6 @@ class Lanes:
         self._scaled: dict[int, bytes] = {}
         self._exps: dict[int, bytes] = {}
 
-    @staticmethod
-    def fit(kern) -> bool:
-        """Whether the kernel's field has byte lanes: k w <= 8, 2Z <= 255."""
-        p, q = kern.char, kern.q
-        k = 1
-        while p**k < q:
-            k += 1
-        return k * (2 * (p - 1)).bit_length() <= 8 and 2 * (2 * (q - 2) + 1) <= 255
-
     def _table(self, image):
         """The translate table of x -> image[x] on sum forms."""
         table = bytearray(256)
@@ -120,9 +113,9 @@ class Lanes:
             self._exps[c] = table
         return s.to_bytes(n, "little").translate(table)
 
-    def mul(self, a, b, c=1):
-        """c a b lane by lane, for the encoding c."""
-        return self.exp(self.log(a) + self.log(b), len(a), c)
+    def mul(self, a, b):
+        """a b lane by lane."""
+        return self.exp(self.log(a) + self.log(b), len(a))
 
     def zeros(self, a):
         """The mask of a's zero lanes: one integer, a byte of 1 per zero
@@ -141,11 +134,11 @@ def _nonzero(col):
     return col != bytes(len(col))
 
 
-def lanes_for(kern) -> Lanes | None:
-    """The kernel's ``Lanes``, built once per process, or None for a field
-    without byte lanes."""
+def lanes_for(kern) -> Lanes:
+    """The ``Lanes`` of a kernel with ``byte_lanes``, built once per
+    process."""
     if kern not in _LANES:
-        _LANES[kern] = Lanes(kern) if Lanes.fit(kern) else None
+        _LANES[kern] = Lanes(kern)
     return _LANES[kern]
 
 
@@ -300,14 +293,12 @@ def _end_rows(L, f, g):
 def column_pass(kern, task, u):
     """The scan loop's candidates for a piece of random draws: (the
     squarefree lanes the loop does not visit, an iterator of (values,
-    squarefree, rows pass, f) over the lanes it does, in lane order), or
-    None for a field without byte lanes.  A verdict is True or False where
-    the pass decided it, None where it did not or the task does not ask for
-    it; f is the product.  The loop visits every lane the pass left
-    undecided at the gate, and every lane no decided stage put out."""
+    squarefree, rows pass, f) over the lanes it does, in lane order).  A
+    verdict is True or False where the pass decided it, None where it did
+    not or the task does not ask for it; f is the product.  The loop visits
+    every lane the pass left undecided at the gate, and every lane no
+    decided stage put out."""
     L = lanes_for(kern)
-    if L is None:
-        return None
     codes, f = lane_codes(L, task, u)
     sq, ok, visit = zip(*[_verdicts(c, task) for c in range(16)])
     visits = codes.translate(bytes(visit).ljust(256, b"\0"))

@@ -36,12 +36,12 @@ time; row 1 first shifts out f's low zeros (``_row1_series``).
 its last column down, and stops at the first nonzero 2x2 minor;
 ``end_rows`` and ``rows_could_be_rank_le_1`` are its reference.
 
-A random piece of at least ``_COLUMN_LANES`` draws that counts squarefree
-candidates or runs the end-row test first takes the column pass
-(``_columns``): the cofactor gate, the product and the end-row test for
-every candidate at once, on one byte per candidate (a lane) of one column
-per coefficient, over fields with byte lanes (F_p for p <= 61, F_9, F_25
-and F_49; every other field skips it).  It follows the generic path of
+A random piece of at least ``_COLUMN_LANES`` draws that runs the end-row
+test, over a field with byte lanes (``TableKernel.byte_lanes``: F_p for
+p <= 61, F_9, F_25 and F_49), first takes the column pass (``_columns``):
+the cofactor gate, the product and the end-row test for every candidate at
+once, on one byte per candidate (a lane) of one column per coefficient.
+Any other piece, and every piece over another field, skips it.  It follows the generic path of
 Euclid and of Miller's series and leaves a candidate undecided where that
 path meets a zero leading coefficient or f[v] = 0.  The scan loop then
 visits only candidates the pass left undecided, which take the scalar
@@ -132,6 +132,11 @@ class TableKernel:
         self.mul = [[0] * q] + [[0] + [exp2[la + lb] for lb in logs] for la in logs]
         self.inv = [0] + [exp[-la] for la in logs]
         self.frob_table = [0] + [exp[la * p % (q - 1)] for la in logs]
+        # the column pass's byte lanes (``_columns``): k coordinate fields of
+        # bit_length(2(p-1)) bits each fit a byte, and so does a sum of two
+        # logs at the sentinel Z = 2(q-2)+1
+        w = (2 * (p - 1)).bit_length()
+        self.byte_lanes = k * w <= 8 and 2 * (2 * (q - 2) + 1) <= 255
 
     # -- polynomial primitives --
 
@@ -756,10 +761,11 @@ def squarefree_count(kern, f0, basis):
 # the draws a random piece needs for the column pass (``_columns``).  Its
 # fixed cost, once per process, is the module's import, 4.5-5 ms with the
 # source compiled afresh, and its tables, about 0.4 ms for F_49 or F_61.  It
-# saves about 13.5 us a lane on a rank-one piece (script 2: 15.0-15.4 us
-# against 1.8 us a candidate) and 0.4-4 us on one that runs the gate alone,
-# so a rank-one piece repays it from about 5.4 ms / 13.5 us = 400 lanes.
-# Set-up runs, shards and survivor pieces never load the module
+# saves about 13.5 us a lane on a rank-one piece, one that runs the end-row
+# test (script 2: 15.0-15.4 us against 1.8 us a candidate), which so repays
+# it from about 5.4 ms / 13.5 us = 400 lanes.  A piece that runs the gate
+# alone saves only 0.4-4 us a lane and does not take the pass.  Set-up
+# runs, shards and survivor pieces never load the module
 _COLUMN_LANES = 512
 
 
@@ -781,10 +787,11 @@ def scan(task: dict) -> dict:
     ``require_smooth``, after the rank test, just before the rank match is
     counted.  Then the p-rank.
 
-    A large enough random piece first takes the column pass (see the module
-    docstring; ``_columns`` is imported only then): the loop takes its
-    product and the verdicts it decided, runs a scalar test only where it
-    left one undecided, and never sees a candidate it decided out.
+    A large enough random piece that runs the end-row test over a field
+    with byte lanes first takes the column pass (see the module docstring;
+    ``_columns`` is imported only then): the loop takes its product and the
+    verdicts it decided, runs a scalar test only where it left one
+    undecided, and never sees a candidate it decided out.
     """
     kern = get_kernel(task["p"], task["k"], tuple(task["modulus"]))
     q = kern.q
@@ -819,7 +826,7 @@ def scan(task: dict) -> dict:
     if "draws" in task:
         slots = free
         values = zip(*[iter(task["draws"])] * len(slots))
-        if (count_squarefree or prefilter) and task["count"] >= _COLUMN_LANES:
+        if prefilter and kern.byte_lanes and task["count"] >= _COLUMN_LANES:
             from ._columns import column_pass
 
             passed = column_pass(kern, task, u)

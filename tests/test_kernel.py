@@ -651,8 +651,13 @@ LANE_FIELDS = [
 ] + [(3, 2), (5, 2), (7, 2)]
 
 
+def _kern(p, k):
+    return get_kernel(p, k, make_field(p, k).modulus)
+
+
 def _lanes(p, k):
-    kern = get_kernel(p, k, make_field(p, k).modulus)
+    kern = _kern(p, k)
+    assert kern.byte_lanes
     return kern, _columns.lanes_for(kern)
 
 
@@ -680,7 +685,7 @@ def test_column_ops_match_the_kernel_tables(p, k):
         assert decoded(L.scale(a, c)) == [kern.mul[c][x] for x in xs]
     for c in {0, 1, q - 1, kern.exp[1]}:
         product = [kern.mul[c][kern.mul[x][y]] for x, y in zip(xs, ys)]
-        assert decoded(L.mul(a, b, c)) == product
+        assert decoded(L.exp(L.log(a) + L.log(b), len(a), c)) == product
     zeros = L.zeros(a).to_bytes(len(a), "little")
     assert list(zeros) == [int(x == 0) for x in xs]
 
@@ -689,7 +694,7 @@ def test_column_ops_match_the_kernel_tables(p, k):
 def test_fields_without_byte_lanes_skip_the_pass(p, k):
     # F_27, F_81, F_125 and F_121 need more than 8 bits of coordinates;
     # from p = 67 on, two logs can add past 255
-    assert _lanes(p, k)[1] is None
+    assert not _kern(p, k).byte_lanes
 
 
 def _piece(spec, values):
@@ -880,7 +885,7 @@ def test_undecided_pass_keeps_the_pinned_reports(capsys, monkeypatch):
     monkeypatch.setattr(_columns, "lane_codes", undecided)
     data = Path(__file__).resolve().parent / "data"
     pinned = json.loads((data / "pinned.json").read_text())
-    for name in ("script2-seed2", "f5-a1", "f7-factor-a1", "f25-a2-smooth"):
+    for name in ("script2-seed2", "f5-a2", "f7-factor-a2-smooth", "f25-a2-smooth"):
         for threads in ("1", "2"):
             assert main([*pinned[name], "--threads", threads]) == 0
             assert capsys.readouterr().out == (data / f"{name}.json").read_text()
@@ -901,8 +906,10 @@ def _workload_runs():
 
 
 class TestColumnPassImports:
-    """Only a piece of at least ``_COLUMN_LANES`` random draws loads
-    ``cartier._columns``: no benchmark set-up run and no exhaustive run."""
+    """Only a piece of at least ``_COLUMN_LANES`` random draws that runs the
+    end-row test over a field with byte lanes loads ``cartier._columns``: no
+    benchmark set-up run, no exhaustive run, no search over a field without
+    byte lanes and no search that runs the gate alone."""
 
     # cli.main in a fresh interpreter; the last stderr line says whether the
     # run loaded the pass
@@ -924,9 +931,20 @@ class TestColumnPassImports:
         assert res.returncode == 0, res.stderr
         return res.stderr.splitlines()[-1] == "True"
 
+    PINNED = json.loads((ROOT / "tests" / "data" / "pinned.json").read_text())
+
     @pytest.mark.parametrize("name", RUNS)
     def test_setup_and_exhaustive_runs_do_not_load_the_pass(self, name):
         assert not self.loads_columns(*self.RUNS[name])
 
+    # F_27 and F_67 have no byte lanes; the a = 1 target in genus 3 over F_5
+    # and the a = 0 target over F_25 run the gate alone
+    @pytest.mark.parametrize("name", ["f27-a1", "f67-a1-smooth", "f5-a1", "f25-a0"])
+    def test_random_searches_without_the_pass_do_not_load_it(self, name):
+        assert not self.loads_columns(*self.PINNED[name])
+
     def test_script2_loads_the_pass(self):
         assert self.loads_columns("reproduce", "--script", "2", "--samples", "600")
+
+    def test_a_rank_one_search_over_f25_loads_the_pass(self):
+        assert self.loads_columns(*self.PINNED["f25-a2"])
