@@ -3,20 +3,20 @@ product and rank-one end-row test for every candidate at once.
 
 Private module; ``scan`` imports it only for a piece of at least
 ``_kernel._COLUMN_LANES`` random draws that runs the end-row test, over a
-field with byte lanes.  The piece is laid out as one ``bytes`` column per
-coefficient slot, one byte (a lane) per candidate.  An element of F_q sits
-in a lane in sum form: base-p coordinate i in the bit field [w i, w (i+1)),
-w = bit_length(2(p-1)), so two columns add as one big integer with no carry
-out of a field or a lane, and one ``bytes.translate`` reduces every field
-mod p.  Scaling by a constant, negation and inverses are one translate
-each.  A lane-by-lane product translates both columns to discrete logs
-(zero to the sentinel Z = 2(q-2)+1), adds them as big integers and
-translates the sums back: a sum below Z is the log of the product, one at
-or past Z had a zero factor.  Byte lanes exist when k w <= 8 and 2Z <= 255
-(``TableKernel.byte_lanes``): F_p for p <= 61, F_9, F_25 and F_49.  Every
-table is read off the ``TableKernel``'s own add, mul, inv and neg tables
-and its generator's powers, so no field arithmetic is written here a second
-time.
+field with byte lanes; such a piece always counts squarefree candidates, so
+both stages run on every lane.  The piece is laid out as one ``bytes``
+column per coefficient slot, one byte (a lane) per candidate.  An element
+of F_q sits in a lane in sum form: base-p coordinate i in the bit field
+[w i, w (i+1)), w the kernel's ``lane_bits``, so two columns add as one big
+integer with no carry out of a field or a lane, and one ``bytes.translate``
+reduces every field mod p.  Scaling by a constant, negation and inverses
+are one translate each.  A lane-by-lane product translates both columns to
+discrete logs (zero to the kernel's sentinel ``zero_log``), adds them as big
+integers and translates the sums back: a sum below the sentinel is the log
+of the product, one at or past it had a zero factor.  The lane format, the
+windows of f the end rows read (``end_row_windows``) and every table come
+from the ``TableKernel``, so no field arithmetic and no rule of the end-row
+test is written here a second time.
 
 The pass follows the generic path of Euclid and of Miller's series.  A lane
 where a divisor's leading coefficient is zero, or where f[v] = 0 at the
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from itertools import compress
 
-from ._kernel import _cofactor_split
+from ._kernel import _cofactor_split, end_row_windows
 
 
 class Lanes:
@@ -38,7 +38,7 @@ class Lanes:
     def __init__(self, kern):
         p, q = kern.char, kern.q
         self.kern = kern
-        w = (2 * (p - 1)).bit_length()
+        w = kern.lane_bits
         form = []  # the sum form of each encoding
         for x in range(q):
             s = 0
@@ -59,9 +59,8 @@ class Lanes:
         self._add = bytes(add)
         self._neg = self._table(kern.neg)
         self._inv = self._table(kern.inv)
-        self.sentinel = 2 * (q - 2) + 1
         log = bytearray(256)
-        log[0] = self.sentinel
+        log[0] = kern.zero_log
         for i, x in enumerate(kern.exp):
             log[form[x]] = i
         self._log = bytes(log)
@@ -107,9 +106,8 @@ class Lanes:
         table = self._exps.get(c)
         if table is None:
             units = [self.form[self.kern.mul[c][x]] for x in self.kern.exp]
-            table = bytes(
-                units[i % len(units)] if i < self.sentinel else 0 for i in range(256)
-            )
+            z = self.kern.zero_log
+            table = bytes(units[i % len(units)] if i < z else 0 for i in range(256))
             self._exps[c] = table
         return s.to_bytes(n, "little").translate(table)
 
@@ -203,10 +201,9 @@ def lane_codes(L, task, u):
     """(each lane's code, f's columns) for a piece of random draws; u holds
     the cofactor's fixed values.
 
-    The gate runs when the task counts squarefree candidates, as
-    ``squarefree_test`` does: u(r) != 0 on the factor's roots by Horner,
-    then Euclid for gcd(u, N) = 1 and gcd(u, u') = 1.  The end-row test runs
-    when the task's ``prefilter`` asks: rows 1 and g by Miller's series, as
+    Both stages run on every lane.  The gate, as ``squarefree_test``: u(r)
+    != 0 on the factor's roots by Horner, then Euclid for gcd(u, N) = 1 and
+    gcd(u, u') = 1.  The end-row test: rows 1 and g by Miller's series, as
     ``end_rows_rank_le_1`` forms them, and every 2x2 minor of the two."""
     kern = L.kern
     n = task["count"]
@@ -215,9 +212,7 @@ def lane_codes(L, task, u):
     cols = [L.column(x, n) for x in u]
     for pos, i in enumerate(free):
         cols[i] = draws[pos :: len(free)].translate(L.encode)
-    code = 0
-    if task["count_squarefree"]:
-        code = _gate(L, cols, _cofactor_split(kern, task["factor"]))
+    code = _gate(L, cols, _cofactor_split(kern, task["factor"]))
     f = cols
     if task["factor"]:
         f = [bytes(n)] * (task["degree"] + 1)
@@ -225,8 +220,7 @@ def lane_codes(L, task, u):
             for j, col in enumerate(cols[: len(f) - i]):
                 if c and _nonzero(col):
                     f[i + j] = L.add(f[i + j], L.scale(col, c))
-    if task["prefilter"]:
-        code |= _end_rows(L, f, (task["degree"] - 1) // 2)
+    code |= _end_rows(L, f, (task["degree"] - 1) // 2)
     return code.to_bytes(n, "little"), f
 
 
@@ -263,16 +257,14 @@ def _end_rows(L, f, g):
     p = L.kern.char
     e = (p - 1) // 2
     n = len(f[0])
-    rg, undecided = series(L, f[: -(e + 2) : -1], e, e + 1)
+    v = next((i for i, col in enumerate(f) if _nonzero(col)), len(f))
+    row1, rowg = end_row_windows(p, v, len(f))
+    rg, undecided = series(L, f[rowg][::-1], e, e + 1)
     rg = ([None] * g + rg)[-g:]
-    end = min(p, len(f))
-    v = 0
-    while v < end and not _nonzero(f[v]):
-        v += 1
-    n1 = p - e * v
     differ = 0
-    if v < end and n1 > 0:  # else row 1 is zero in every lane
-        r1, undecided_1 = series(L, f[v:end], e, n1)
+    if f[row1]:  # else row 1 is zero in every lane
+        n1 = row1.stop - v  # the window's width
+        r1, undecided_1 = series(L, f[row1], e, n1)
         undecided |= undecided_1
         r1 = (r1[::-1] + [None] * g)[:g]  # row 1 holds c_m at column n1 - 1 - m
         log1 = [None if x is None else L.log(x) for x in r1]
@@ -290,35 +282,31 @@ def _end_rows(L, f, g):
     return undecided * _ROWS_OPEN | int.from_bytes(out, "little") * _ROWS_OUT
 
 
-def column_pass(kern, task, u):
-    """The scan loop's candidates for a piece of random draws: (the
+def column_pass(kern, task, u, values):
+    """The scan loop's candidates for a piece of random draws, whose
+    values (one tuple a lane, as scan zips them) ``values`` yields: (the
     squarefree lanes the loop does not visit, an iterator of (values,
     squarefree, rows pass, f) over the lanes it does, in lane order).  A
     verdict is True or False where the pass decided it, None where it did
-    not or the task does not ask for it; f is the product.  The loop visits
-    every lane the pass left undecided at the gate, and every lane no
-    decided stage put out."""
+    not; f is the product.  The loop visits every lane the pass left
+    undecided at the gate, and every lane no decided stage put out."""
     L = lanes_for(kern)
     codes, f = lane_codes(L, task, u)
-    sq, ok, visit = zip(*[_verdicts(c, task) for c in range(16)])
+    sq, ok, visit = zip(*[_verdicts(c, task["require_smooth"]) for c in range(16)])
     visits = codes.translate(bytes(visit).ljust(256, b"\0"))
     unvisited_sq = bytes(s is True and not v for s, v in zip(sq, visit))
     n_sq = codes.translate(unvisited_sq.ljust(256, b"\0")).count(1)
     picked = bytes(compress(codes, visits))
-    values = compress(zip(*[iter(task["draws"])] * len(task["free"])), visits)
+    values = compress(values, visits)
     fs = compress(zip(*[col.translate(L.decode) for col in f]), visits)
     return n_sq, zip(
         values, map(sq.__getitem__, picked), map(ok.__getitem__, picked), map(list, fs)
     )
 
 
-def _verdicts(code, task):
-    """(squarefree, rows pass, visit) for a lane's code in the task."""
-    sq = ok = None
-    if task["count_squarefree"]:
-        sq = False if code & _GATE_OUT else None if code & _GATE_OPEN else True
-    if task["prefilter"] and not code & _ROWS_OPEN:
-        ok = not code & _ROWS_OUT
-    if task["count_squarefree"] and sq is None:
-        return sq, ok, True
-    return sq, ok, not (task["require_smooth"] and sq is False) and ok is not False
+def _verdicts(code, require_smooth):
+    """(squarefree, rows pass, visit) for a lane's code: the loop visits a
+    lane the gate left open, and one no decided stage put out."""
+    sq = False if code & _GATE_OUT else None if code & _GATE_OPEN else True
+    ok = None if code & _ROWS_OPEN else not code & _ROWS_OUT
+    return sq, ok, sq is None or ok is not False and (sq or not require_smooth)

@@ -27,25 +27,22 @@ the end-row and rank tests, so the gcd runs on the few candidates those
 keep.  With a fixed factor F, f = F u is squarefree exactly when F and the
 cofactor u are and gcd(F, u) = 1, so ``squarefree_test`` checks u against
 F's roots and the rest of F and, where it runs first, never forms f for a
-candidate that fails.  Rows 1 and
-g need f^e (e = (p-1)/2) below x^p and the power of f's reversal below
-x^(e+1).  Both come from Miller's power-series recurrence, which divides
+candidate that fails.  Rows 1 and g need f^e (e = (p-1)/2) below x^p and
+the power of f's reversal below x^(e+1); ``end_row_windows`` says which
+coefficients of f each reads, for the scalar test, the join and the column
+pass alike.  Both come from Miller's power-series recurrence, which divides
 only by m < p and so is exact in characteristic p, one coefficient at a
-time; row 1 first shifts out f's low zeros (``_row1_series``).
-``end_rows_rank_le_1`` computes row g, then reads row 1's series once from
-its last column down, and stops at the first nonzero 2x2 minor;
+time.  ``end_rows_rank_le_1`` computes row g, then reads row 1's series
+once from its last column down, and stops at the first nonzero 2x2 minor;
 ``end_rows`` and ``rows_could_be_rank_le_1`` are its reference.
 
 A random piece of at least ``_COLUMN_LANES`` draws that runs the end-row
 test, over a field with byte lanes (``TableKernel.byte_lanes``: F_p for
 p <= 61, F_9, F_25 and F_49), first takes the column pass (``_columns``):
-the cofactor gate, the product and the end-row test for every candidate at
-once, on one byte per candidate (a lane) of one column per coefficient.
-Any other piece, and every piece over another field, skips it.  It follows the generic path of
-Euclid and of Miller's series and leaves a candidate undecided where that
-path meets a zero leading coefficient or f[v] = 0.  The scan loop then
-visits only candidates the pass left undecided, which take the scalar
-functions here, and those no decided stage put out; the rest are counted.
+its gate, product and end-row test for every candidate at once, in the
+kernel's lane format.  It leaves a candidate undecided where the generic
+path of Euclid or Miller's series meets a zero leading coefficient or f[v]
+= 0; the scan loop visits only those and the ones no decided stage put out.
 
 A task is a top-coefficient shard of an exhaustive search or a piece of
 assignments: random draws or survivors of ``rank_one_survivors``, the
@@ -132,11 +129,12 @@ class TableKernel:
         self.mul = [[0] * q] + [[0] + [exp2[la + lb] for lb in logs] for la in logs]
         self.inv = [0] + [exp[-la] for la in logs]
         self.frob_table = [0] + [exp[la * p % (q - 1)] for la in logs]
-        # the column pass's byte lanes (``_columns``): k coordinate fields of
-        # bit_length(2(p-1)) bits each fit a byte, and so does a sum of two
-        # logs at the sentinel Z = 2(q-2)+1
-        w = (2 * (p - 1)).bit_length()
-        self.byte_lanes = k * w <= 8 and 2 * (2 * (q - 2) + 1) <= 255
+        # the column pass's lane format (``_columns``): lane_bits hold a sum
+        # of two coordinates, zero's log Z passes any sum of two logs, and a
+        # byte lane holds k fields of lane_bits and a sum of two logs at Z
+        self.lane_bits = (2 * (p - 1)).bit_length()
+        self.zero_log = 2 * (q - 2) + 1
+        self.byte_lanes = k * self.lane_bits <= 8 and 2 * self.zero_log <= 255
 
     # -- polynomial primitives --
 
@@ -357,22 +355,28 @@ def matrix_rows(kappa, g, p):
     return [padded[p * i + g - 1 : p * i - 1 : -1] for i in range(1, g + 1)]
 
 
+def end_row_windows(p, v, length):
+    """The slices of f (``length`` coefficients, f[:v] = 0) that rows 1 and
+    g read, e = (p-1)/2: f^e below x^p is x^(ev) (f/x^v)^e below x^n, n =
+    p - ev, so row 1 reads f[v : p - (e-1)v], n wide (f's end may clip it;
+    empty for n <= 0, a zero row 1), and row g f's top e + 1 coefficients."""
+    e = (p - 1) // 2
+    return slice(v, max(v, p - (e - 1) * v)), slice(max(0, length - e - 1), length)
+
+
 def _row1_series(kern, f):
     """(n, row 1's n series coefficients) from f, or from a prefix of f
-    past which nothing changes f^e below x^p, e = (p-1)/2.  With v low
-    zeros in f[:p], f^e below x^p is x^(ev) (f/x^v)^e below x^n, n = p - ev,
-    and (f/x^v)^e comes from ``poly_pow_low``; row 1 holds its c_m at column
-    n - 1 - m.  A zero row 1 (f[:p] = 0 or ev >= p) gives (0, ())."""
+    holding row 1's window (``end_row_windows``): (f/x^v)^e below x^n, v
+    the low zeros of f, from ``poly_pow_low``; row 1 holds its c_m at
+    column n - 1 - m.  A zero row 1 gives (0, ())."""
     p = kern.char
-    e = (p - 1) // 2
-    end = min(p, len(f))
-    v = 0
-    while v < end and not f[v]:
-        v += 1
-    n = p - e * v
-    if v == end or n <= 0:
+    v = next((i for i, x in enumerate(f) if x), len(f))
+    row1 = end_row_windows(p, v, len(f))[0]
+    window = f[row1]
+    if not window:
         return 0, ()
-    return n, kern.poly_pow_low(f[v:end], e, n)
+    n = row1.stop - v
+    return n, kern.poly_pow_low(window, (p - 1) // 2, n)
 
 
 def _row1(kern, f, g):
@@ -382,12 +386,13 @@ def _row1(kern, f, g):
 
 
 def _rowg(kern, f, g):
-    """Row g of the matrix from f or its top (p+1)/2 coefficients.  Those,
-    reversed, start at f's leading coefficient, which is nonzero, and the
-    power of the reversal below x^(e+1) ends row g."""
+    """Row g of the matrix from f or its top (``end_row_windows``).  That
+    window, reversed, starts at f's leading coefficient, which is nonzero,
+    and the power of the reversal below x^(e+1) ends row g."""
     e = (kern.char - 1) // 2
     row = [0] * g
-    row += kern.poly_pow_low(f[: -(e + 2) : -1], e, e + 1)
+    top = f[end_row_windows(kern.char, 0, len(f))[1]]
+    row += kern.poly_pow_low(top[::-1], e, e + 1)
     return row[-g:]
 
 
@@ -533,28 +538,25 @@ def rank_one_survivors(kern, f0, basis, free, require_smooth=False):
     lowest fastest), each as the little-endian bytes of its values in
     ascending free index, one byte a value or two past q = 256.
 
-    If f[:v] = 0 across the family, row 1 reads only f[v : p - (e-1)v]
-    (every term of f^e below x^p has e-1 factors of index at least v), and
-    row g reads f[deg-e:].  A slot is read by a row when its b_i meets that
-    window.  The top slot is the outermost loop, then slots both rows read.
-    Slots only row 1 reads are bucketed by the class of row 1, once per
-    window of f it reads, slots only row g reads by the class of row g, and
-    slots neither reads are enumerated for each joined pair only.  Row 1's
-    window holds f[:2], so under ``require_smooth`` a row-1 assignment that
-    leaves f[0] = f[1] = 0 is dropped: x^2 divides every completion.
+    With f[:v] = 0 across the family, a slot is read by a row when its b_i
+    meets that row's window (``end_row_windows``).  The top slot is the
+    outermost loop, then slots both rows read.  Slots only row 1 reads are
+    bucketed by the class of row 1, once per window of f it reads, slots
+    only row g reads by the class of row g, and slots neither reads are
+    enumerated for each joined pair only.  Row 1's window holds f[:2], so
+    under ``require_smooth`` a row-1 assignment that leaves f[0] = f[1] = 0
+    is dropped: x^2 divides every completion.
     """
     q = kern.q
-    e = (kern.char - 1) // 2
     degree = len(f0) - 1
     g = (degree - 1) // 2
     v = min(j for b in [f0, *basis] for j, x in enumerate(b) if x)
-    row1_end = max(v, min(kern.char - (e - 1) * v, degree + 1))
-    rowg_start = max(0, degree - e)
+    row1, rowg = end_row_windows(kern.char, v, degree + 1)
 
     groups = {"outer": [], "row1": [], "rowg": [], "inner": []}
     for pos, b in enumerate(basis[:-1]):
-        r1 = any(b[v:row1_end])
-        rg = any(b[rowg_start:])
+        r1 = any(b[row1])
+        rg = any(b[rowg])
         key = "outer" if r1 and rg else "row1" if r1 else "rowg" if rg else "inner"
         groups[key].append(pos)
 
@@ -585,18 +587,18 @@ def rank_one_survivors(kern, f0, basis, free, require_smooth=False):
     by_window: dict = {}  # row 1's classes, once per window of f it reads
     inner = [n for _, n in assignments("inner")]
     for top in range(q):
-        if any(basis[-1][v:row1_end]):
+        if any(basis[-1][row1]):
             by_window.clear()  # no window recurs under another top value
         n_top = top * weights[-1]
         top_base = _combine(kern, f0, [(top, basis[-1])], 0, degree + 1)
         numbers = []
         for outer, n_outer in assignments("outer"):
             base = _combine(kern, top_base, terms("outer", outer), 0, degree + 1)
-            window = tuple(base[:row1_end])
+            window = tuple(base[: row1.stop])
             if window not in by_window:
-                by_window[window] = classes("row1", base, 0, row1_end, _row1)
+                by_window[window] = classes("row1", base, 0, row1.stop, _row1)
             by_row1 = by_window[window]
-            by_rowg = classes("rowg", base, rowg_start, degree + 1, _rowg)
+            by_rowg = classes("rowg", base, rowg.start, degree + 1, _rowg)
             every_b = [n for ns in by_rowg.values() for n in ns]
             wild_b = by_rowg.get(None, [])
             for key, a_list in by_row1.items():
@@ -758,14 +760,13 @@ def squarefree_count(kern, f0, basis):
     return total
 
 
-# the draws a random piece needs for the column pass (``_columns``).  Its
-# fixed cost, once per process, is the module's import, 4.5-5 ms with the
-# source compiled afresh, and its tables, about 0.4 ms for F_49 or F_61.  It
-# saves about 13.5 us a lane on a rank-one piece, one that runs the end-row
-# test (script 2: 15.0-15.4 us against 1.8 us a candidate), which so repays
-# it from about 5.4 ms / 13.5 us = 400 lanes.  A piece that runs the gate
-# alone saves only 0.4-4 us a lane and does not take the pass.  Set-up
-# runs, shards and survivor pieces never load the module
+# the draws a random piece that runs the end-row test needs for the column
+# pass (``_columns``).  Its fixed cost, once per process, is the module's
+# import, 4.5-5 ms with the source compiled afresh, and its tables, about
+# 0.4 ms for F_49 or F_61; it saves about 13.5 us a lane (script 2: 15.0-15.4
+# us against 1.8 us a candidate), so repays that from about 400 lanes.  A
+# piece that runs the gate alone saves only 0.4-4 us a lane.  Set-up runs,
+# shards and survivor pieces never load the module
 _COLUMN_LANES = 512
 
 
@@ -787,11 +788,9 @@ def scan(task: dict) -> dict:
     ``require_smooth``, after the rank test, just before the rank match is
     counted.  Then the p-rank.
 
-    A large enough random piece that runs the end-row test over a field
-    with byte lanes first takes the column pass (see the module docstring;
-    ``_columns`` is imported only then): the loop takes its product and the
-    verdicts it decided, runs a scalar test only where it left one
-    undecided, and never sees a candidate it decided out.
+    A piece that takes the column pass (module docstring; ``_columns`` is
+    imported only then) hands it its draws: the loop takes the pass's
+    product and verdicts and runs a scalar test only where it left one open.
     """
     kern = get_kernel(task["p"], task["k"], tuple(task["modulus"]))
     q = kern.q
@@ -829,7 +828,7 @@ def scan(task: dict) -> dict:
         if prefilter and kern.byte_lanes and task["count"] >= _COLUMN_LANES:
             from ._columns import column_pass
 
-            passed = column_pass(kern, task, u)
+            passed = column_pass(kern, task, u, values)
     else:
         # the shard fixes the top free coefficient; product varies its last
         # slot fastest, so the lowest free index moves fastest

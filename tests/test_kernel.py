@@ -30,6 +30,8 @@ from cartier import _columns
 from cartier._kernel import (
     TableKernel,
     _irreducibles,
+    _row1_series,
+    end_row_windows,
     end_rows,
     end_rows_rank_le_1,
     get_kernel,
@@ -266,6 +268,43 @@ def test_early_exit_prefilter_equals_the_reference(p, k, monkeypatch):
     # a zero row, two proportional nonzero rows and a nonzero minor all occur
     assert verdicts == {(True, False), (True, True), (False, True)}
     assert full_passes
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_end_rows_read_only_their_windows(p):
+    # the one window rule the scalar test, the join and the column pass
+    # share: with f[:v] = 0, a coefficient strictly between row 1's window
+    # and row g's changes neither end row of the full matrix, and row 1's
+    # series has exactly the window's width n = p - ev terms at f's own
+    # low-zero count v
+    kern = _kern(p, 1)
+    e = (p - 1) // 2
+    rng = random.Random(p)
+
+    def full_end_rows(f, g):
+        rows = matrix_rows(kern.poly_pow(f, e), g, p)
+        return rows[0], rows[-1]
+
+    perturbed = 0
+    for g, v in itertools.product(range(2, 7), range(3)):
+        for _ in range(30):
+            f = [0] * v + [rng.randrange(p) for _ in range(2 * g + 1 - v)]
+            f.append(rng.randrange(1, p))
+            rows = end_rows(kern, f, g)
+            assert rows == full_end_rows(f, g), f
+            row1, rowg = end_row_windows(p, v, len(f))
+            for i in range(row1.stop, rowg.start):
+                changed = list(f)
+                changed[i] = (f[i] + rng.randrange(1, p)) % p
+                assert full_end_rows(changed, g) == rows, (g, v, f, i)
+                assert end_rows(kern, changed, g) == rows, (g, v, f, i)
+                perturbed += 1
+            low = next(i for i, x in enumerate(f) if x)
+            row1 = end_row_windows(p, low, len(f))[0]
+            n, series = _row1_series(kern, f)
+            assert n == len([*series]) == row1.stop - row1.start, f
+            assert n == max(0, p - e * low), f
+    assert perturbed
 
 
 @pytest.mark.parametrize("p,k", FIELDS)
@@ -725,7 +764,7 @@ def _check_lanes(kern, task):
             u[i] = x
         f = kern.poly_mul_trunc(factor, u, degree + 1) if factor else u
         assert [col[lane] for col in f_cols] == [L.form[x] for x in f]
-        sq, ok, _ = _columns._verdicts(code, task)
+        sq, ok, _ = _columns._verdicts(code, task["require_smooth"])
         if sq is not None:
             assert sq == sq_test(u), u
         if ok is not None:
@@ -890,6 +929,43 @@ def test_undecided_pass_keeps_the_pinned_reports(capsys, monkeypatch):
             assert main([*pinned[name], "--threads", threads]) == 0
             assert capsys.readouterr().out == (data / f"{name}.json").read_text()
     assert calls
+
+
+@pytest.mark.parametrize(
+    "genus, family",
+    [
+        (3, "--p 7 --fix c0=0,c7=1 --samples 5000 --seed 3"),
+        (2, "--p 11 --fix c5=1 --require-smooth --samples 3000 --seed 1"),
+        (3, "--p 13 --fix c7=1 --require-smooth --samples 3000 --seed 1"),
+        (4, "--p 7 --fix c9=1 --samples 3000 --seed 1"),
+        (3, "--p 5 --k 2 --factor 0,4,1 --fix c5=1 --require-smooth "
+            "--samples 3000 --seed 1"),
+    ],
+)
+def test_column_pass_reports_equal_their_no_prefilter_twins(
+    genus, family, capsys, monkeypatch
+):
+    # rank-one random searches on families no pinned report holds, each
+    # taking the pass on a piece of 2500 draws: at one and two threads the
+    # report is its --no-prefilter twin's, which runs neither the pass nor
+    # the end-row test, once the echoed flag is deleted from both
+    argv = ["search", *family.split(), "--genus", str(genus), "--random"]
+    argv += ["--target-a", str(genus - 1)]
+
+    def report(*extra):
+        assert main([*argv, *extra]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        del doc["spec"]["prefilter"]
+        return doc
+
+    twin = report("--no-prefilter", "--threads", "1")
+    real = _columns.lane_codes
+    calls = []
+    monkeypatch.setattr(
+        _columns, "lane_codes", lambda *args: calls.append(1) or real(*args)
+    )
+    assert report("--threads", "1") == twin and calls
+    assert report("--threads", "2") == twin
 
 
 def _workload_runs():

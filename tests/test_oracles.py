@@ -1,9 +1,10 @@
 """Oracles outside the kappa = f^((p-1)/2) pipeline and metamorphic
 relations: Manin's point-count congruence, the p-rank read off the
 L-polynomial of point counts, closed-form counts of supersingular elliptic
-curves, and invariants that a change of variable, a twist or a Frobenius
-twist of the coefficients must keep, checked in the object layer and in the
-kernel."""
+curves, the invariants of y^2 = x^(2g+1) + 1 and the squarefree counts of
+the monic and depressed families in closed form, and invariants that a
+change of variable, a twist or a Frobenius twist of the coefficients must
+keep, checked in the object layer and in the kernel."""
 
 import functools
 import random
@@ -361,3 +362,59 @@ def test_igusa_count_in_the_legendre_family(p, threads):
     counts = run_search(spec, threads=threads).counts
     assert counts.squarefree == p * p - 2
     assert counts.rank_matched == (p - 1) // 2
+
+
+# Closed forms worked by hand.  For y^2 = x^n + 1, n = 2g + 1 prime to p,
+# f^e = sum_k C(e, k) x^(nk) with every C(e, k), k <= e < p, a unit, so
+# entry (i, j) is nonzero exactly when n | pi - j: row i has at most one
+# entry, at j = pi mod n if that is at most g.  At p = 1 mod n it is the
+# diagonal (p-rank g); at p = -1 mod n, j = n - i > g and the matrix is 0
+# (a = g).  At any other residue some pi mod n (i <= g) lands in 1..g and
+# some other lands past g, so neither holds.  Of the 72 curves below, 12
+# have a = g, 14 p-rank g, and every p has one with neither.
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43])
+def test_x_to_the_2g_plus_1_plus_1_in_both_layers(p):
+    F = make_field(p)
+    for g in range(1, 7):
+        n = 2 * g + 1
+        if n % p == 0:
+            continue
+        f = Poly(F, [F.one] + [F.zero] * (n - 1) + [F.one])
+        superspecial, ordinary = p % n == n - 1, p % n == 1
+        inv = invariants(f)
+        assert inv.smooth
+        assert (inv.a_number == g) == superspecial, (p, g)
+        assert (inv.p_rank == g) == ordinary, (p, g)
+        # the kernel: a one-candidate search with every coefficient fixed
+        fixed = dict(enumerate(f.coeffs))
+        spec = SearchSpec(field=F, degree=n, fixed=fixed, target_a=g)
+        assert run_search(spec).counts.rank_matched == superspecial, (p, g)
+        spec = SearchSpec(field=F, degree=n, fixed=fixed, target_p_rank=g)
+        assert run_search(spec).counts.p_rank_matched == ordinary, (p, g)
+
+
+# The sieve's closed forms.  Of the q^n monic polynomials of degree n,
+# q^n - q^(n-1) are squarefree.  For p not dividing n, x -> x + t moves
+# every monic polynomial to exactly one depressed one (c_(n-1) = 0) and
+# keeps squarefreeness, so q^(n-1) - q^(n-2) depressed ones are.
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize(
+    "p, k, n", [(7, 1, 5), (3, 2, 5), (3, 1, 7), (11, 1, 5), (13, 1, 3)]
+)
+def test_monic_and_depressed_family_squarefree_counts(p, k, n, threads):
+    F = make_field(p, k)
+    q = F.order
+    monic = SearchSpec(field=F, degree=n, fixed={n: F.one})
+    depressed = monic._replace(fixed={n - 1: F.zero, n: F.one})
+    counts = run_search(monic, threads=threads).counts
+    assert counts.squarefree == q**n - q ** (n - 1)
+    counts = run_search(depressed, threads=threads).counts
+    assert counts.enumerated == q ** (n - 1)
+    assert counts.squarefree == q ** (n - 1) - q ** (n - 2)
+    if q ** (n - 1) < 1000:  # the twin that counts candidate by candidate
+        off = run_search(depressed._replace(prefilter=False), threads=threads)
+        assert off.counts.squarefree == counts.squarefree
