@@ -21,7 +21,8 @@ test is written here a second time.
 The pass follows the generic path of Euclid and of Miller's series.  A lane
 where a divisor's leading coefficient is zero, or where f[v] = 0 at the
 piece's low-zero count v, is left undecided; scan runs it through the scalar
-``squarefree_test`` and ``end_rows_rank_le_1``, which stay the oracle.
+``squarefree_test`` and ``rows_could_be_rank_le_1`` on ``end_rows``, which
+stay the oracle.
 """
 
 from __future__ import annotations
@@ -204,7 +205,7 @@ def lane_codes(L, task, u):
     Both stages run on every lane.  The gate, as ``squarefree_test``: u(r)
     != 0 on the factor's roots by Horner, then Euclid for gcd(u, N) = 1 and
     gcd(u, u') = 1.  The end-row test: rows 1 and g by Miller's series, as
-    ``end_rows_rank_le_1`` forms them, and every 2x2 minor of the two."""
+    ``end_rows`` forms them, and every 2x2 minor of the two."""
     kern = L.kern
     n = task["count"]
     free = task["free"]

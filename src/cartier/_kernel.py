@@ -31,10 +31,10 @@ candidate that fails.  Rows 1 and g need f^e (e = (p-1)/2) below x^p and
 the power of f's reversal below x^(e+1); ``end_row_windows`` says which
 coefficients of f each reads, for the scalar test, the join and the column
 pass alike.  Both come from Miller's power-series recurrence, which divides
-only by m < p and so is exact in characteristic p, one coefficient at a
-time.  ``end_rows_rank_le_1`` computes row g, then reads row 1's series
-once from its last column down, and stops at the first nonzero 2x2 minor;
-``end_rows`` and ``rows_could_be_rank_le_1`` are its reference.
+only by m < p and so is exact in characteristic p.  ``end_rows`` forms the
+two rows and ``rows_could_be_rank_le_1`` compares them: the scalar test
+scan runs, and the reference the join and the column pass are checked
+against.
 
 A random piece of at least ``_COLUMN_LANES`` draws that runs the end-row
 test, over a field with byte lanes (``TableKernel.byte_lanes``: F_p for
@@ -180,11 +180,10 @@ class TableKernel:
         return result
 
     def poly_pow_low(self, a, e, n):
-        """a^e's coefficients c_0 .. c_(n-1), one at a time, for e >= 1,
-        1 <= n <= p and a[0] nonzero, by Miller's recurrence (Knuth, TAOCP
-        vol. 2, 4.7): m a_0 c_m = sum_k ((e+1)k - m) a_k c_(m-k).  Every
-        m < n <= p is a unit, so the recurrence is exact; a reader that stops
-        early saves the rest."""
+        """a^e's coefficients c_0 .. c_(n-1), for e >= 1, 1 <= n <= p and
+        a[0] nonzero, by Miller's recurrence (Knuth, TAOCP vol. 2, 4.7):
+        m a_0 c_m = sum_k ((e+1)k - m) a_k c_(m-k).  Every m < n <= p is a
+        unit, so the recurrence is exact."""
         add = self.add
         mul = self.mul
         inv = self.inv
@@ -193,7 +192,6 @@ class TableKernel:
         c0 = a[0]
         for _ in range(e - 1):
             c0 = ma0[c0]
-        yield c0
         c = [c0]
         top = len(a) - 1
         for m in range(1, n):
@@ -203,9 +201,8 @@ class TableKernel:
                 cmk = c[m - k]
                 if ak and cmk:
                     acc = add[acc][mul[((e + 1) * k - m) % p][mul[ak][cmk]]]
-            cm = mul[acc][inv[ma0[m]]]
-            yield cm
-            c.append(cm)
+            c.append(mul[acc][inv[ma0[m]]])
+        return c
 
     def is_squarefree(self, f):
         """gcd(f, f') constant and f' nonzero; f must have exact degree
@@ -364,25 +361,17 @@ def end_row_windows(p, v, length):
     return slice(v, max(v, p - (e - 1) * v)), slice(max(0, length - e - 1), length)
 
 
-def _row1_series(kern, f):
-    """(n, row 1's n series coefficients) from f, or from a prefix of f
-    holding row 1's window (``end_row_windows``): (f/x^v)^e below x^n, v
-    the low zeros of f, from ``poly_pow_low``; row 1 holds its c_m at
-    column n - 1 - m.  A zero row 1 gives (0, ())."""
+def _row1(kern, f, g):
+    """Row 1 of the matrix from f, or from a prefix of f holding row 1's
+    window (``end_row_windows``): (f/x^v)^e below x^n, v the low zeros of f
+    and n the window's width, from ``poly_pow_low``; row 1 holds its c_m at
+    column n - 1 - m.  An empty window gives a zero row 1."""
     p = kern.char
     v = next((i for i, x in enumerate(f) if x), len(f))
     row1 = end_row_windows(p, v, len(f))[0]
     window = f[row1]
-    if not window:
-        return 0, ()
-    n = row1.stop - v
-    return n, kern.poly_pow_low(window, (p - 1) // 2, n)
-
-
-def _row1(kern, f, g):
-    """Row 1 of the matrix from f or a prefix of it (``_row1_series``)."""
-    _, series = _row1_series(kern, f)
-    return ([*series][::-1] + [0] * g)[:g]
+    series = kern.poly_pow_low(window, (p - 1) // 2, row1.stop - v) if window else []
+    return (series[::-1] + [0] * g)[:g]
 
 
 def _rowg(kern, f, g):
@@ -398,7 +387,7 @@ def _rowg(kern, f, g):
 
 def end_rows(kern, f, g):
     """Rows 1 and g of the matrix from truncated powers of f and of its
-    reversal; the reference for ``end_rows_rank_le_1``."""
+    reversal."""
     return _row1(kern, f, g), _rowg(kern, f, g)
 
 
@@ -416,35 +405,6 @@ def rows_could_be_rank_le_1(kern, r1, rg):
     mul_b = kern.mul[rg[j0]]
     for j in range(len(r1)):
         if mul_a[rg[j]] != mul_b[r1[j]]:
-            return False
-    return True
-
-
-def end_rows_rank_le_1(kern, f, g):
-    """``rows_could_be_rank_le_1(kern, *end_rows(kern, f, g))``, stopping at
-    the first nonzero 2x2 minor.  Row g comes first; with j its last nonzero
-    column, row 1 is proportional to it exactly when row 1 is zero past j
-    and r1_j rg_i = rg_j r1_i below j.  Row 1's series is read once, from
-    row 1's last column down, and only up to the first nonzero minor."""
-    rg = _rowg(kern, f, g)
-    j = g - 1
-    while j >= 0 and not rg[j]:
-        j -= 1
-    if j < 0:
-        return True  # a zero row g; a zero row 1 has no series
-    n, series = _row1_series(kern, f)
-    mul = kern.mul
-    scale_g = mul[rg[j]]
-    scale_1 = mul[0]  # times r1_j, once column j is reached
-    col = n
-    for c in series:
-        col -= 1
-        if col > j:
-            if c and col < g:
-                return False
-        elif col == j:
-            scale_1 = mul[c]
-        elif scale_g[c] != scale_1[rg[col]]:
             return False
     return True
 
@@ -782,11 +742,11 @@ def scan(task: dict) -> dict:
     ``count_squarefree`` asks for it.
 
     Per candidate: ``squarefree_test`` on the cofactor u first when the task
-    counts, f = factor * u only if the candidate goes on,
-    ``end_rows_rank_le_1`` when the task's ``prefilter`` says so, then the
-    half power and rank.  A task that does not count tests u only under
-    ``require_smooth``, after the rank test, just before the rank match is
-    counted.  Then the p-rank.
+    counts, f = factor * u only if the candidate goes on, the end-row test
+    ``rows_could_be_rank_le_1`` on ``end_rows`` when the task's
+    ``prefilter`` says so, then the half power and rank.  A task that does
+    not count tests u only under ``require_smooth``, after the rank test,
+    just before the rank match is counted.  Then the p-rank.
 
     A piece that takes the column pass (module docstring; ``_columns`` is
     imported only then) hands it its draws: the loop takes the pass's
@@ -862,7 +822,9 @@ def scan(task: dict) -> dict:
 
         if filtered:
             if prefilter and not (
-                end_rows_rank_le_1(kern, f, g) if rows_pass is None else rows_pass
+                rows_could_be_rank_le_1(kern, *end_rows(kern, f, g))
+                if rows_pass is None
+                else rows_pass
             ):
                 continue
             kappa = poly_pow(f, e)

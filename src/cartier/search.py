@@ -77,16 +77,17 @@ _RANDOM_SHARD_SAMPLES = 100_000
 # balance even a 2 x 10^4-sample search
 _PIECE = 2_500
 # the candidates that repay a pool: on a 2-core Xeon host the fork pool's
-# import, start and teardown cost about 10-12 ms, and the per-candidate path
-# of shards and survivor pieces 15-30 us a candidate (kernel.scan_us_per_cand
-# of perfbench/run.py --trace 1 on witness-heavy).  A second worker saves
-# half the scan, which repays that cost from 2 x (10-12 ms) / (15-30 us),
-# about 700-1 600 candidates; a sieve-counted task costs less a candidate,
-# so it breaks even later, not sooner.  A random piece the column pass takes
-# costs about 1.8 us a candidate (script2-f49), so it repays a pool only past
-# 11 000-13 000; there script 2's 20 000 samples took 44-46 ms in-process at
-# two workers against 38-40 ms at one.  A search of at most this many runs
-# in this process
+# import, start and teardown cost about 20 ms.  Script 2's 20 000 samples,
+# about 36 ms of scan at the column pass's 1.8 us a candidate, took 44-46 ms
+# in-process at two workers against 38-40 ms at one: half the scan saved,
+# 6 ms more spent.  The per-candidate path of shards and survivor pieces
+# costs 15-30 us a candidate (kernel.scan_us_per_cand of perfbench/run.py
+# --trace 1 on witness-heavy), so a second worker, saving half the scan,
+# repays 20 ms from 2 x 20 ms / (15-30 us), about 1 300-2 700 candidates; a
+# sieve-counted task costs less a candidate, so it breaks even later, not
+# sooner, and a random piece the column pass takes only past about 22 000.
+# A search of at most this many runs in this process: below that
+# break-even, so moving the value up waits for benchmark pairs of its own
 _WORKER_CANDIDATES = 1_000
 
 
@@ -349,9 +350,10 @@ def _rank_one_filter(spec: SearchSpec) -> str | None:
     """Where the end-row test of a rank-one (a = g-1) search with the
     prefilter on runs: "join" when the sieve counts (``_sieve_counts``), so
     its tasks hold the join's survivors only; "scan" for
-    ``_kernel.end_rows_rank_le_1`` on each candidate otherwise, at p >= 5
-    (at p = 3 the half power is f itself); None elsewhere.  At genus 1 the
-    matrix is 1 x 1 and rows 1 and g are one row, so neither runs."""
+    ``_kernel.rows_could_be_rank_le_1`` on each candidate's ``end_rows``
+    otherwise, at p >= 5 (at p = 3 the half power is f itself); None
+    elsewhere.  At genus 1 the matrix is 1 x 1 and rows 1 and g are one
+    row, so neither runs."""
     if not spec.prefilter or spec.target_a != spec.genus - 1 or spec.genus < 2:
         return None
     if _sieve_counts(spec):

@@ -2,9 +2,10 @@
 relations: Manin's point-count congruence, the p-rank read off the
 L-polynomial of point counts, closed-form counts of supersingular elliptic
 curves, the invariants of y^2 = x^(2g+1) + 1 and the squarefree counts of
-the monic and depressed families in closed form, and invariants that a
-change of variable, a twist or a Frobenius twist of the coefficients must
-keep, checked in the object layer and in the kernel."""
+the monic and depressed families in closed form, Ekedahl's bound on the
+genus of a superspecial curve, and invariants that a change of variable, a
+twist or a Frobenius twist of the coefficients must keep, checked in the
+object layer and in the kernel."""
 
 import functools
 import random
@@ -25,6 +26,7 @@ from cartier import (
 from cartier._kernel import get_kernel, matrix_rows
 from cartier.fields import _coord_ops
 from cartier.invariants import _matmul
+from cartier.search import _sieve_counts
 
 
 def _random_normalized(F, genus, rng):
@@ -418,3 +420,56 @@ def test_monic_and_depressed_family_squarefree_counts(p, k, n, threads):
     if q ** (n - 1) < 1000:  # the twin that counts candidate by candidate
         off = run_search(depressed._replace(prefilter=False), threads=threads)
         assert off.counts.squarefree == counts.squarefree
+
+
+# Ekedahl's bound (Math. Scand. 60, 1987): a superspecial hyperelliptic
+# curve in characteristic p has g <= (p - 1)/2.  At g = (p + 1)/2 a smooth
+# a = g search must find nothing; at g = (p - 1)/2, y^2 = x^p - x is
+# superspecial, and in the families below, which fix c1 = -1, it is the only
+# match.  Most of these searches take the squarefree count from the sieve
+# and test a candidate's squarefreeness last, after its rank.
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize(
+    "p, k, genus, fixed, sieved",
+    [
+        (3, 1, 2, {}, True),  # the normalized family, 3^4 candidates
+        (3, 2, 2, {}, True),  # 9^4
+        (7, 1, 4, {1: 1, 2: 1, 3: 1}, True),  # 7^5
+        (5, 2, 3, {1: 1, 2: 0, 3: 0}, False),  # 25^3
+    ],
+)
+def test_no_superspecial_curve_past_ekedahls_bound(
+    p, k, genus, fixed, sieved, threads
+):
+    assert 2 * genus == p + 1
+    F = make_field(p, k)
+    degree = 2 * genus + 1
+    fixed = {0: F.zero, degree: F.one} | {i: F.element(v) for i, v in fixed.items()}
+    spec = SearchSpec(
+        field=F, degree=degree, fixed=fixed, target_a=genus, require_smooth=True
+    )
+    assert _sieve_counts(spec) == sieved
+    counts = run_search(spec, threads=threads).counts
+    assert counts.squarefree > 0
+    assert counts.rank_matched == 0
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("p, k", [(7, 1), (5, 2)])
+def test_x_to_the_p_minus_x_is_the_one_superspecial_curve_at_ekedahls_bound(
+    p, k, threads
+):
+    # genus (p - 1)/2 with c0 = 0 and c1 = -1 fixed: 7^5 and 25^3 candidates
+    F = make_field(p, k)
+    spec = SearchSpec(
+        field=F, degree=p, fixed={0: F.zero, 1: -F.one, p: F.one},
+        target_a=(p - 1) // 2, require_smooth=True,
+    )
+    assert _sieve_counts(spec)
+    report = run_search(spec, threads=threads)
+    assert report.counts.rank_matched == 1
+    assert [w.f for w in report.witnesses] == [
+        Poly(F, [F.zero, -F.one] + [F.zero] * (p - 2) + [F.one])
+    ]

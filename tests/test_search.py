@@ -2,6 +2,7 @@ import itertools
 import json
 import pickle
 import random
+import sys
 
 import pytest
 
@@ -181,9 +182,11 @@ class TestPrefilter:
     def test_random_end_row_test_over_extension_field(
         self, p, degree, fixed, samples, seed, factor, require_smooth, matched
     ):
-        # random draws over F_{p^2}, p >= 5, take the per-candidate end-row
-        # test; the whole report is its --no-prefilter twin's at one and two
-        # threads, but for the echoed flag
+        # random draws over F_{p^2}, p >= 5: the column pass takes pieces of
+        # 512 draws or more, and the scalar end-row test the lanes it leaves
+        # open and F_49's last piece of 500; the whole report is its
+        # --no-prefilter twin's at one and two threads, but for the echoed
+        # flag
         F = make_field(p, 2)
         spec = SearchSpec(
             field=F,
@@ -203,6 +206,52 @@ class TestPrefilter:
         for threads in (1, 2):
             doc = run_search(spec, threads=threads).to_dict()
             assert json.dumps(doc) == json.dumps(expected)
+
+    @pytest.mark.parametrize(
+        "p, k, samples, require_smooth",
+        # F_121, F_125 and F_67 have no byte lanes (two logs add past 255
+        # from p = 67 on)
+        [(11, 2, 2000, True), (5, 3, 2000, False), (67, 1, 600, False)],
+    )
+    def test_random_end_row_test_without_byte_lanes(
+        self, p, k, samples, require_smooth, monkeypatch
+    ):
+        # genus-2 rank-one random searches with c0 = 0 run the scalar
+        # end-row test on every squarefree candidate and never load the
+        # column pass (an import of it fails here, in this process and in
+        # a forked worker alike); the whole report is its --no-prefilter
+        # twin's at one and two threads, once the echoed flag is deleted
+        import cartier._kernel as _kernel
+
+        F = make_field(p, k)
+        spec = SearchSpec(
+            field=F,
+            degree=5,
+            fixed={0: F.zero, 5: F.one},
+            samples=samples,
+            seed=1,
+            target_a=1,
+            require_smooth=require_smooth,
+        )
+        assert _rank_one_filter(spec) == "scan"
+        monkeypatch.setitem(sys.modules, "cartier._columns", None)
+        calls = []
+        real = _kernel.rows_could_be_rank_le_1
+        monkeypatch.setattr(
+            _kernel,
+            "rows_could_be_rank_le_1",
+            lambda *args: calls.append(1) or real(*args),
+        )
+
+        def report(spec, threads):
+            doc = run_search(spec, threads=threads).to_dict()
+            del doc["spec"]["prefilter"]
+            return doc
+
+        twin = report(spec._replace(prefilter=False), 1)
+        assert twin["matched"] > 0
+        assert report(spec, 1) == twin and calls
+        assert report(spec, 2) == twin
 
     def test_genus_one_skips_the_join(self, F7):
         # the 1 x 1 matrix has rank <= 1 whatever f is, so the join could
@@ -227,18 +276,18 @@ class TestPrefilter:
     def test_end_row_test_runs_where_the_search_says(
         self, F7, monkeypatch, genus, fixed, samples, where
     ):
-        # scan runs end_rows_rank_le_1 only on the per-candidate path, and
-        # the report is still its --no-prefilter twin's
+        # scan runs rows_could_be_rank_le_1 only on the per-candidate path,
+        # and the report is still its --no-prefilter twin's
         import cartier._kernel as _kernel
 
         calls = []
-        real = _kernel.end_rows_rank_le_1
+        real = _kernel.rows_could_be_rank_le_1
 
-        def counted(kern, f, g):
-            calls.append(g)
-            return real(kern, f, g)
+        def counted(kern, r1, rg):
+            calls.append(len(r1))
+            return real(kern, r1, rg)
 
-        monkeypatch.setattr(_kernel, "end_rows_rank_le_1", counted)
+        monkeypatch.setattr(_kernel, "rows_could_be_rank_le_1", counted)
         spec = SearchSpec(
             field=F7,
             degree=2 * genus + 1,
