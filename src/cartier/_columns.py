@@ -18,15 +18,17 @@ windows of f the end rows read (``end_row_windows``) and every table come
 from the ``TableKernel``, so no field arithmetic and no rule of the end-row
 test is written here a second time.
 
-The pass follows the generic path of Euclid and of Miller's series.  A lane
-where a divisor's leading coefficient is zero, or where f[v] = 0 at the
-piece's low-zero count v, is left undecided; scan runs it through the scalar
-``squarefree_test`` and ``rows_could_be_rank_le_1`` on ``end_rows``, which
-stay the oracle.
+The pass follows the generic path of Euclid, and forms the end rows by
+Miller's power-series recurrence (``series``), which the tests check lane by
+lane against the kernel's ``poly_pow``.  A lane where a divisor's leading
+coefficient is zero, or where f[v] = 0 at the piece's low-zero count v, is
+left undecided; scan runs it through the scalar ``squarefree_test`` and
+``rows_could_be_rank_le_1`` on ``end_rows``, which stay the oracle.
 """
 
 from __future__ import annotations
 
+import functools
 from itertools import compress
 
 from ._kernel import _cofactor_split, end_row_windows
@@ -125,20 +127,13 @@ class Lanes:
 _ZERO = b"\1" + bytes(255)  # 1 for a zero lane, 0 for any other
 _NONZERO = b"\0" + b"\1" * 255
 
-_LANES: dict = {}
+# the ``Lanes`` of a kernel with ``byte_lanes``, built once per process
+lanes_for = functools.cache(Lanes)
 
 
 def _nonzero(col):
     """Whether some lane of the column is nonzero."""
     return col != bytes(len(col))
-
-
-def lanes_for(kern) -> Lanes:
-    """The ``Lanes`` of a kernel with ``byte_lanes``, built once per
-    process."""
-    if kern not in _LANES:
-        _LANES[kern] = Lanes(kern)
-    return _LANES[kern]
 
 
 def euclid_undecided(L, a, b):
@@ -167,9 +162,11 @@ def euclid_undecided(L, a, b):
 
 def series(L, a, e, n):
     """c_0 .. c_(n-1) of (sum a_k x^k)^e from the columns a, by Miller's
-    recurrence m a_0 c_m = sum_k ((e+1)k - m) a_k c_(m-k) as in
-    ``TableKernel.poly_pow_low``, and the mask of lanes where a_0 = 0, which
-    it leaves undecided."""
+    recurrence (Knuth, TAOCP vol. 2, 4.7) m a_0 c_m = sum_k ((e+1)k - m)
+    a_k c_(m-k), and the mask of lanes where a_0 = 0, which it leaves
+    undecided.  It divides by m a_0, so it is exact for n <= p, which the
+    end rows' windows keep to; ``TableKernel.poly_pow(a, e, n)`` is the
+    scalar power it must equal lane by lane."""
     p = L.kern.char
     width = len(a[0])
     c = a[0]
@@ -204,8 +201,8 @@ def lane_codes(L, task, u):
 
     Both stages run on every lane.  The gate, as ``squarefree_test``: u(r)
     != 0 on the factor's roots by Horner, then Euclid for gcd(u, N) = 1 and
-    gcd(u, u') = 1.  The end-row test: rows 1 and g by Miller's series, as
-    ``end_rows`` forms them, and every 2x2 minor of the two."""
+    gcd(u, u') = 1.  The end-row test: rows 1 and g by Miller's series,
+    equal to the ones ``end_rows`` forms, and every 2x2 minor of the two."""
     kern = L.kern
     n = task["count"]
     free = task["free"]

@@ -30,19 +30,20 @@ F's roots and the rest of F and, where it runs first, never forms f for a
 candidate that fails.  Rows 1 and g need f^e (e = (p-1)/2) below x^p and
 the power of f's reversal below x^(e+1); ``end_row_windows`` says which
 coefficients of f each reads, for the scalar test, the join and the column
-pass alike.  Both come from Miller's power-series recurrence, which divides
-only by m < p and so is exact in characteristic p.  ``end_rows`` forms the
-two rows and ``rows_could_be_rank_le_1`` compares them: the scalar test
-scan runs, and the reference the join and the column pass are checked
-against.
+pass alike.  Both come from ``poly_pow`` given the length n it keeps: by
+Kronecker substitution it reduces only the lowest n lanes, by tables it is
+``poly_pow_trunc``.  ``end_rows`` forms the two rows and
+``rows_could_be_rank_le_1`` compares them: the scalar test scan runs, and
+the reference the join and the column pass are checked against.
 
 A random piece of at least ``_COLUMN_LANES`` draws that runs the end-row
 test, over a field with byte lanes (``TableKernel.byte_lanes``: F_p for
 p <= 61, F_9, F_25 and F_49), first takes the column pass (``_columns``):
 its gate, product and end-row test for every candidate at once, in the
 kernel's lane format.  It leaves a candidate undecided where the generic
-path of Euclid or Miller's series meets a zero leading coefficient or f[v]
-= 0; the scan loop visits only those and the ones no decided stage put out.
+path of its Euclid or its Miller series meets a zero leading coefficient or
+f[v] = 0; the scan loop visits only those and the ones no decided stage put
+out.
 
 A task is a top-coefficient shard of an exhaustive search or a piece of
 assignments: random draws or survivors of ``rank_one_survivors``, the
@@ -151,22 +152,27 @@ class TableKernel:
                         out[j] = add[out[j]][mrow[bj]]
         return out
 
-    def poly_pow(self, a, e):
-        """a^e.  Over F_p, when ``kronecker_lane`` finds a lane, by
-        Kronecker substitution: a is read as one integer, a coefficient a
-        lane, raised to the e-th power natively, and each lane of the power
-        reduced mod p.  Otherwise by square-and-multiply on the tables."""
+    def poly_pow(self, a, e, n=None):
+        """a^e, or with n its coefficients below x^n, zero-padded to n.  Over
+        F_p, when ``kronecker_lane`` finds a lane, by Kronecker substitution:
+        a below x^n is read as one integer, a coefficient a lane, raised to
+        the e-th power natively, and the power's lowest n lanes reduced mod
+        p.  Otherwise by square-and-multiply on the tables."""
         p = self.char
-        n = (len(a) - 1) * e + 1
+        if n is None:
+            n = (len(a) - 1) * e + 1
+        else:
+            a = a[:n]
         size = kronecker_lane(p, len(a), e) if self.q == p else 0
         if not size:
-            return self.poly_pow_trunc(a, e, n)
+            out = self.poly_pow_trunc(a, e, n)
+            return out + [0] * (n - len(out))
         code = _LANES[size]
         lanes = array(code, a)
         if sys.byteorder == "big":
             lanes.byteswap()
         x = int.from_bytes(lanes.tobytes(), "little") ** e
-        out = array(code, x.to_bytes(size * n, "little"))
+        out = array(code, (x & (1 << 8 * size * n) - 1).to_bytes(size * n, "little"))
         if sys.byteorder == "big":
             out.byteswap()
         return [c % p for c in out]
@@ -178,31 +184,6 @@ class TableKernel:
             if bit == "1":
                 result = self.poly_mul_trunc(result, a, n)
         return result
-
-    def poly_pow_low(self, a, e, n):
-        """a^e's coefficients c_0 .. c_(n-1), for e >= 1, 1 <= n <= p and
-        a[0] nonzero, by Miller's recurrence (Knuth, TAOCP vol. 2, 4.7):
-        m a_0 c_m = sum_k ((e+1)k - m) a_k c_(m-k).  Every m < n <= p is a
-        unit, so the recurrence is exact."""
-        add = self.add
-        mul = self.mul
-        inv = self.inv
-        p = self.char
-        ma0 = mul[a[0]]
-        c0 = a[0]
-        for _ in range(e - 1):
-            c0 = ma0[c0]
-        c = [c0]
-        top = len(a) - 1
-        for m in range(1, n):
-            acc = 0
-            for k in range(1, min(m, top) + 1):
-                ak = a[k]
-                cmk = c[m - k]
-                if ak and cmk:
-                    acc = add[acc][mul[((e + 1) * k - m) % p][mul[ak][cmk]]]
-            c.append(mul[acc][inv[ma0[m]]])
-        return c
 
     def is_squarefree(self, f):
         """gcd(f, f') constant and f' nonzero; f must have exact degree
@@ -356,7 +337,9 @@ def end_row_windows(p, v, length):
     """The slices of f (``length`` coefficients, f[:v] = 0) that rows 1 and
     g read, e = (p-1)/2: f^e below x^p is x^(ev) (f/x^v)^e below x^n, n =
     p - ev, so row 1 reads f[v : p - (e-1)v], n wide (f's end may clip it;
-    empty for n <= 0, a zero row 1), and row g f's top e + 1 coefficients."""
+    empty for n <= 0, a zero row 1), and row g f's top e + 1 coefficients.
+    Each row is read off the e-th power of its window (row g's reversed)
+    below x^n, n the slice's width."""
     e = (p - 1) // 2
     return slice(v, max(v, p - (e - 1) * v)), slice(max(0, length - e - 1), length)
 
@@ -364,25 +347,21 @@ def end_row_windows(p, v, length):
 def _row1(kern, f, g):
     """Row 1 of the matrix from f, or from a prefix of f holding row 1's
     window (``end_row_windows``): (f/x^v)^e below x^n, v the low zeros of f
-    and n the window's width, from ``poly_pow_low``; row 1 holds its c_m at
+    and n the window's width, from ``poly_pow``; row 1 holds its c_m at
     column n - 1 - m.  An empty window gives a zero row 1."""
     p = kern.char
     v = next((i for i, x in enumerate(f) if x), len(f))
     row1 = end_row_windows(p, v, len(f))[0]
-    window = f[row1]
-    series = kern.poly_pow_low(window, (p - 1) // 2, row1.stop - v) if window else []
+    series = kern.poly_pow(f[row1], (p - 1) // 2, row1.stop - v)
     return (series[::-1] + [0] * g)[:g]
 
 
 def _rowg(kern, f, g):
-    """Row g of the matrix from f or its top (``end_row_windows``).  That
-    window, reversed, starts at f's leading coefficient, which is nonzero,
-    and the power of the reversal below x^(e+1) ends row g."""
+    """Row g of the matrix from f or its top (``end_row_windows``): the
+    power of that window, reversed, below x^(e+1) ends row g."""
     e = (kern.char - 1) // 2
-    row = [0] * g
     top = f[end_row_windows(kern.char, 0, len(f))[1]]
-    row += kern.poly_pow_low(top[::-1], e, e + 1)
-    return row[-g:]
+    return ([0] * g + kern.poly_pow(top[::-1], e, e + 1))[-g:]
 
 
 def end_rows(kern, f, g):

@@ -146,19 +146,25 @@ def test_kernel_matches_object_layer_on_random_curves(p, k):
     "p,k", [(3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (3, 2), (5, 2), (3, 3), (7, 2)]
 )
 def test_poly_pow_low_matches_object_layer(p, k):
-    # Miller's recurrence against Poly ** e below x^n, for every n <= p, with
-    # a[0] != 0 and a both shorter and longer than n
+    # the end rows' truncated power poly_pow(a, e, n) against Poly ** e below
+    # x^n, zero-padded to n, for every n up to 2p + 1 (past x^p, where a
+    # recurrence dividing by m < p would stop), a both shorter and longer
+    # than n, with a[0] = 0 too, and the empty a: by Kronecker substitution
+    # over F_p where a lane holds the window, by tables otherwise
     F = make_field(p, k)
     kern = get_kernel(p, k, F.modulus)
     rng = random.Random(7 * p + k)
-    for n in range(1, p + 1):
-        for length in range(1, p + 3):
-            a = [rng.randrange(1, F.order)] + [
-                rng.randrange(F.order) for _ in range(length - 1)
-            ]
+    for length in range(1, p + 3):
+        for a0 in (0, rng.randrange(1, F.order)):
+            a = [a0] + [rng.randrange(F.order) for _ in range(length - 1)]
             for e in {1, 2, (p - 1) // 2, rng.randrange(1, 9)}:
-                expected = _encodings(Poly.from_ints(F, a) ** e, n)
-                assert kern.poly_pow_low(a, e, n) == expected, (a, e, n)
+                power = Poly.from_ints(F, a) ** e
+                for n in range(2 * p + 2):
+                    expected = _encodings(power, n)
+                    assert kern.poly_pow(a, e, n) == expected, (a, e, n)
+    # the empty window of a zero row 1
+    for e, n in itertools.product(range(1, 9), range(2 * p + 2)):
+        assert kern.poly_pow([], e, n) == [0] * n
 
 
 @pytest.mark.parametrize(
@@ -280,7 +286,7 @@ def test_end_rows_read_only_their_windows(p):
             low = next(i for i, x in enumerate(f) if x)
             row1 = end_row_windows(p, low, len(f))[0]
             n = row1.stop - row1.start
-            series = kern.poly_pow_low(f[row1], e, n) if n else []
+            series = kern.poly_pow(f[row1], e, n)
             assert len(series) == n == max(0, p - e * low), f
             assert rows[0] == (series[::-1] + [0] * g)[:g], f
     assert perturbed
@@ -724,9 +730,9 @@ def _piece(spec, values):
 
 
 def _check_lanes(kern, task):
-    """Every lane's product and every verdict the pass decided against the
-    scalar path; returns the lanes' (u, f, squarefree, rows pass) with the
-    pass's verdicts, None where undecided."""
+    """Every lane's product, every verdict the pass decided and its end-row
+    series against the scalar path; returns the lanes' (u, f, squarefree,
+    rows pass) with the pass's verdicts, None where undecided."""
     degree = task["degree"]
     factor = task["factor"]
     u0 = [0] * (degree + 1 - (len(factor) - 1 if factor else 0))
@@ -750,6 +756,24 @@ def _check_lanes(kern, task):
             rows = end_rows(kern, f, (degree - 1) // 2)
             assert ok == rows_could_be_rank_le_1(kern, *rows), f
         lanes.append((u, f, sq, ok))
+    # the pass's series, by Miller's recurrence on the lanes, against the
+    # kernel's power of each lane's window wherever the window's a_0 != 0
+    p = kern.char
+    e = (p - 1) // 2
+    v = next(i for i, col in enumerate(f_cols) if any(col))
+    row1, rowg = end_row_windows(p, v, degree + 1)
+    windows = [(lambda f: f[rowg][::-1], e + 1)]
+    if f_cols[row1]:
+        windows.append((lambda f: f[row1], row1.stop - v))
+    for window, n in windows:
+        terms, undecided = _columns.series(L, window(f_cols), e, n)
+        assert len(terms) == n
+        undecided = undecided.to_bytes(len(codes), "little")
+        values = zip(*[col.translate(L.decode) for col in terms])
+        for (_, f, _, _), c, a0_zero in zip(lanes, values, undecided):
+            assert a0_zero == (window(f)[0] == 0), f
+            if not a0_zero:
+                assert list(c) == kern.poly_pow(window(f), e, n), (f, n)
     return lanes
 
 

@@ -5,7 +5,8 @@ curves, the invariants of y^2 = x^(2g+1) + 1 and the squarefree counts of
 the monic and depressed families in closed form, Ekedahl's bound on the
 genus of a superspecial curve, and invariants that a change of variable, a
 twist or a Frobenius twist of the coefficients must keep, checked in the
-object layer and in the kernel."""
+object layer and in the kernel, down to the counts of search shards that a
+scaling of x maps onto each other."""
 
 import functools
 import random
@@ -23,10 +24,10 @@ from cartier import (
     make_field,
     run_search,
 )
-from cartier._kernel import get_kernel, matrix_rows
+from cartier._kernel import get_kernel, matrix_rows, scan
 from cartier.fields import _coord_ops
 from cartier.invariants import _matmul
-from cartier.search import _sieve_counts
+from cartier.search import DEFAULT_BUDGET, _make_tasks, _sieve_counts
 
 
 def _random_normalized(F, genus, rng):
@@ -319,6 +320,61 @@ def test_translation_by_a_root_keeps_invariants(p, k):
         assert invariants(image) == invariants(f), f.text()
         assert _kernel_invariants(F, image) == _kernel_invariants(F, f), f.text()
 
+
+def _scaling_orbits(F, degree, fixed, t):
+    """The orbits of slot t's nonzero values (encodings) under the scalings
+    f -> lam^(-D) f(lam x), D = degree, that keep the family: c_i -> lam^(i-D)
+    c_i, with lam^(D-i) = 1 at every fixed nonzero c_i, i < D."""
+    units = [x for x in enumerate_field(F) if not x.is_zero]
+    kept = [i for i, c in fixed.items() if i < degree and not c.is_zero]
+    group = [lam for lam in units if all(lam ** (degree - i) == F.one for i in kept)]
+    orbits = {
+        frozenset((lam.inv() ** (degree - t) * r).encoding for lam in group)
+        for r in units
+    }
+    return sorted(sorted(orbit) for orbit in orbits)
+
+
+@pytest.mark.parametrize(
+    "p, k, genus, fixed, n_orbits",
+    [
+        # normalized families: every scaling keeps them, so every nonzero
+        # top value is in one orbit
+        (5, 1, 3, {0: 0, 7: 1}, 1),
+        (7, 1, 2, {0: 0, 5: 1}, 1),
+        (3, 2, 2, {0: 0, 5: 1}, 1),
+        # c1 = 1 fixed: only lam^4 = 1, lam = +-1, so the orbits are {c, -c}
+        (7, 1, 2, {0: 0, 1: 1, 5: 1}, 3),
+    ],
+)
+def test_shards_in_one_scaling_orbit_count_alike(p, k, genus, fixed, n_orbits):
+    # a scaling keeps smoothness, the a-number and the p-rank and maps the
+    # shard c_t = r of the top free slot one to one onto c_t = lam^(t-D) r,
+    # so the per-candidate scan (no end-row test, squarefree counted shard
+    # by shard) gives every shard of an orbit the same counts; shards of
+    # different orbits need not agree, and with c1 = 1 over F_7 they do not
+    F = make_field(p, k)
+    spec = SearchSpec(
+        field=F,
+        degree=2 * genus + 1,
+        fixed={i: F.from_encoding(x) for i, x in fixed.items()},
+        target_a=1,
+        target_p_rank=1,
+        prefilter=False,
+    )
+    counts = {}
+    for task in _make_tasks(spec, DEFAULT_BUDGET):
+        assert task["count_squarefree"] and not task["prefilter"]
+        result = scan(task)
+        counts[task["top"]] = tuple(
+            result[key] for key in ("squarefree", "rank_matched", "p_rank_matched")
+        )
+    orbits = _scaling_orbits(F, spec.degree, spec.fixed, spec.free[-1])
+    assert len(orbits) == n_orbits
+    for orbit in orbits:
+        assert len({counts[r] for r in orbit}) == 1, (orbit, counts)
+    assert len({counts[orbit[0]] for orbit in orbits}) == n_orbits, counts
+    assert all(matched for _, _, matched in counts.values())
 
 
 # Closed-form family counts from the literature (Silverman, The Arithmetic
