@@ -157,22 +157,26 @@ class TableKernel:
         F_p, when ``kronecker_lane`` finds a lane, by Kronecker substitution:
         a below x^n is read as one integer, a coefficient a lane, raised to
         the e-th power natively, and the power's lowest n lanes reduced mod
-        p.  Otherwise by square-and-multiply on the tables."""
+        p.  Otherwise by square-and-multiply on the tables.  Without n,
+        every lane is kept and nothing is masked or padded."""
         p = self.char
-        if n is None:
+        whole = n is None
+        if whole:
             n = (len(a) - 1) * e + 1
         else:
             a = a[:n]
         size = kronecker_lane(p, len(a), e) if self.q == p else 0
         if not size:
             out = self.poly_pow_trunc(a, e, n)
-            return out + [0] * (n - len(out))
+            return out if whole else out + [0] * (n - len(out))
         code = _LANES[size]
         lanes = array(code, a)
         if sys.byteorder == "big":
             lanes.byteswap()
         x = int.from_bytes(lanes.tobytes(), "little") ** e
-        out = array(code, (x & (1 << 8 * size * n) - 1).to_bytes(size * n, "little"))
+        if not whole:  # the power runs past x^n
+            x &= (1 << (8 * size * n)) - 1
+        out = array(code, x.to_bytes(size * n, "little"))
         if sys.byteorder == "big":
             out.byteswap()
         return [c % p for c in out]

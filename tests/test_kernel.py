@@ -9,6 +9,7 @@ import subprocess
 import sys
 from array import array
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -739,7 +740,16 @@ def _check_lanes(kern, task):
     for i, x in task["fixed"]:
         u0[i] = x
     L = _columns.lanes_for(kern)
-    codes, f_cols = _columns.lane_codes(L, task, u0)
+    calls = []  # every (window's columns, n, series) the pass forms
+    series = _columns.series
+
+    def recorded(L, a, e, n):
+        out = series(L, a, e, n)
+        calls.append((a, n, out))
+        return out
+
+    with mock.patch.object(_columns, "series", recorded):
+        codes, f_cols = _columns.lane_codes(L, task, u0)
     sq_test = squarefree_test(kern, factor)
     nf = len(task["free"])
     lanes = []
@@ -756,24 +766,26 @@ def _check_lanes(kern, task):
             rows = end_rows(kern, f, (degree - 1) // 2)
             assert ok == rows_could_be_rank_le_1(kern, *rows), f
         lanes.append((u, f, sq, ok))
-    # the pass's series, by Miller's recurrence on the lanes, against the
-    # kernel's power of each lane's window wherever the window's a_0 != 0
+    # the pass's series, by Miller's recurrence on the lanes: on the windows
+    # ``end_row_windows`` names, row g's first, and equal to the kernel's
+    # power of each lane's window wherever the window's a_0 != 0
     p = kern.char
     e = (p - 1) // 2
     v = next(i for i, col in enumerate(f_cols) if any(col))
     row1, rowg = end_row_windows(p, v, degree + 1)
-    windows = [(lambda f: f[rowg][::-1], e + 1)]
+    windows = [(f_cols[rowg][::-1], e + 1)]
     if f_cols[row1]:
-        windows.append((lambda f: f[row1], row1.stop - v))
-    for window, n in windows:
-        terms, undecided = _columns.series(L, window(f_cols), e, n)
+        windows.append((f_cols[row1], row1.stop - v))
+    assert [(a, n) for a, n, _ in calls] == windows
+    for a, n, (terms, undecided) in calls:
         assert len(terms) == n
         undecided = undecided.to_bytes(len(codes), "little")
+        window = zip(*[col.translate(L.decode) for col in a])
         values = zip(*[col.translate(L.decode) for col in terms])
-        for (_, f, _, _), c, a0_zero in zip(lanes, values, undecided):
-            assert a0_zero == (window(f)[0] == 0), f
+        for w, c, a0_zero in zip(window, values, undecided):
+            assert a0_zero == (w[0] == 0), w
             if not a0_zero:
-                assert list(c) == kern.poly_pow(window(f), e, n), (f, n)
+                assert list(c) == kern.poly_pow(list(w), e, n), (w, n)
     return lanes
 
 
