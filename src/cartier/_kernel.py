@@ -46,15 +46,15 @@ f[v] = 0; the scan loop visits only those and the ones no decided stage put
 out.
 
 A task is a top-coefficient shard of an exhaustive search or a piece of
-assignments: random draws or survivors of ``rank_one_survivors``, the
-search's choice of where the end-row test for rank one (a = g-1) runs.
-The join runs once per search: the family is affine, f = f0 + sum c_i b_i,
-so it matches the assignments of the coefficients row 1 reads with those
-row g reads on the projective class of the row; scan does not repeat the
-test on them.  The family's squarefree count then comes from
-``squarefree_count``, a Moebius sieve over F_q[x] with one linear system
-per square h^2, as it does for every large exhaustive search with a rank
-target or without ``require_smooth`` (the search's choice).  Checking every
+assignments: random draws or survivors of ``rank_one_survivors``.  The
+search's plan (``search._plan``) decides what runs: whether the squarefree
+count comes from ``squarefree_count``, a Moebius sieve over F_q[x] with one
+linear system per square h^2, and whether the end-row test for rank one
+(a = g-1) runs in scan or as the join, which it picks only with the sieve.
+This module decides how a task runs.  The join runs once per search: the
+family is affine, f = f0 + sum c_i b_i, so it matches the assignments of
+the coefficients row 1 reads with those row g reads on the projective
+class of the row; scan does not repeat the test on them.  Checking every
 candidate stays the oracle.
 
 The object layer in fields/poly/invariants is the reference implementation.

@@ -10,15 +10,15 @@ Determinism contract: identical specs (including seed) produce identical
 reports for any thread count.  Exhaustive spaces shard on the value of the
 highest-order free coefficient.  Random mode draws every sample's
 coefficients from one MT19937 stream up front (sample-major, ascending free
-index) and cuts it into fixed pieces of ``_PIECE`` samples.  Exhaustive
-searches over large enough families with the prefilter on take the
-squarefree count from a sieve (see ``_kernel``) when they have a rank target
-or do not require smoothness (``_sieve_counts``): their scan tests a
-cofactor only under ``require_smooth``, after the end-row and rank tests.
-Rank-one searches among them check only the survivors of one join on the
-end rows, run in the parent and cut the same way in enumeration order.
-Their reports are the per-candidate path's, and ``_rank_one_filter`` alone
-decides where the end-row test runs.  A pool gets one worker per
+index) and cuts it into fixed pieces of ``_PIECE`` samples.  One plan per
+search, ``_plan``, decides what runs: whether the squarefree count comes
+from a sieve (see ``_kernel``), as it does for large exhaustive searches
+with the prefilter on that have a rank target or do not require
+smoothness, and whether a rank-one search's end-row test runs as one join
+in the parent or candidate by candidate in scan.  The join comes only with
+the sieve, and its survivors are cut into pieces in enumeration order.
+The kernel decides how a task runs.  Every plan gives the per-candidate
+path's report.  A pool gets one worker per
 ``_WORKER_CANDIDATES`` candidates checked, up to the thread count and the
 task count, so a smaller search runs in this process at any thread count.
 The pool (``_pool.ForkPool``) is forked once per search, after the tasks
@@ -329,36 +329,33 @@ def _affine_form(spec: SearchSpec) -> tuple[list[int], list[list[int]]]:
     return f0, [encodings(factor * Poly.monomial(field, i)) for i in spec.free]
 
 
-def _sieve_counts(spec: SearchSpec) -> bool:
-    """Whether the search takes its squarefree count from
-    ``_kernel.squarefree_count`` instead of candidate by candidate: an
-    exhaustive search with the prefilter on whose family outnumbers the
-    monic h the sieve may visit, and which has a rank target or does not
-    require smoothness.  Its tasks then test a cofactor only under
-    ``require_smooth``, after the end-row and rank tests; with smoothness
-    required and no rank target the test stays the first, cheap gate."""
+def _plan(spec: SearchSpec) -> tuple[bool, str | None]:
+    """What the search runs, (sieve, end_rows).  ``sieve``: the squarefree
+    count comes from ``_kernel.squarefree_count``, not candidate by
+    candidate, for an exhaustive search with the prefilter on whose family
+    outnumbers the monic h the sieve may visit, and which has a rank target
+    or does not require smoothness.  Its tasks then test a cofactor only
+    under ``require_smooth``, after the end-row and rank tests; with
+    smoothness required and no rank target the test stays the first, cheap
+    gate.  ``end_rows``: where a rank-one (a = g-1) search with the
+    prefilter on runs the end-row test.  "join" only with the sieve, since
+    survivor pieces never see the members the join dropped; "scan" for
+    ``_kernel.rows_could_be_rank_le_1`` on each candidate's ``end_rows``
+    otherwise, at p >= 5 (at p = 3 the half power is f itself); None
+    elsewhere.  At genus 1 the matrix is 1 x 1 and rows 1 and g are one
+    row, so neither runs."""
     q = spec.field.order
-    return (
+    sieve = (
         spec.prefilter
         and spec.mode == "exhaustive"
         and (spec.target_a is not None or not spec.require_smooth)
         and q ** len(spec.free) > sum(q**d for d in range(spec.degree // 2 + 1))
     )
-
-
-def _rank_one_filter(spec: SearchSpec) -> str | None:
-    """Where the end-row test of a rank-one (a = g-1) search with the
-    prefilter on runs: "join" when the sieve counts (``_sieve_counts``), so
-    its tasks hold the join's survivors only; "scan" for
-    ``_kernel.rows_could_be_rank_le_1`` on each candidate's ``end_rows``
-    otherwise, at p >= 5 (at p = 3 the half power is f itself); None
-    elsewhere.  At genus 1 the matrix is 1 x 1 and rows 1 and g are one
-    row, so neither runs."""
     if not spec.prefilter or spec.target_a != spec.genus - 1 or spec.genus < 2:
-        return None
-    if _sieve_counts(spec):
-        return "join"
-    return "scan" if spec.field.p >= 5 else None
+        return sieve, None
+    if sieve:
+        return True, "join"
+    return False, "scan" if spec.field.p >= 5 else None
 
 
 def _make_tasks(spec: SearchSpec, budget: int) -> list[dict]:
@@ -366,15 +363,15 @@ def _make_tasks(spec: SearchSpec, budget: int) -> list[dict]:
     with the factor and fixed values as encodings, whether scan runs the
     end-row test (``prefilter``), whether it counts squarefree candidates
     (``count_squarefree``) and the candidates it checks (``count``)."""
-    rank_one = _rank_one_filter(spec)
+    sieve, end_rows = _plan(spec)
     base = dict(
         _spec_to_dict(spec),
         factor=(
             [c.encoding for c in spec.factor.coeffs] if spec.factor is not None else None
         ),
         fixed=sorted((i, el.encoding) for i, el in spec.fixed.items()),
-        prefilter=rank_one == "scan",
-        count_squarefree=not _sieve_counts(spec),
+        prefilter=end_rows == "scan",
+        count_squarefree=not sieve,
     )
     q = spec.field.order
     nf = len(spec.free)
@@ -385,7 +382,7 @@ def _make_tasks(spec: SearchSpec, budget: int) -> list[dict]:
             raise BudgetExceededError(
                 f"exhaustive space of {size} candidates exceeds budget {budget}"
             )
-        if rank_one != "join":
+        if end_rows != "join":
             tops = range(q) if spec.free else [None]
             return [dict(base, top=v, count=size // len(tops)) for v in tops]
         # the join's survivors in enumeration order, each the little-endian
@@ -419,20 +416,14 @@ def _worker_count(tasks: list[dict], threads: int) -> int:
     return min(threads, len(tasks), -(-checked // _WORKER_CANDIDATES))
 
 
-def _squarefree_total(spec: SearchSpec) -> int | None:
-    """The family's squarefree count from the sieve where ``_sieve_counts``
-    holds, whose tasks do not count it; None elsewhere."""
-    if not _sieve_counts(spec):
-        return None
-    kern = _kernel.get_kernel(spec.field.p, spec.field.k, spec.field.modulus)
-    return _kernel.squarefree_count(kern, *_affine_form(spec))
-
-
 def _merge(
     spec: SearchSpec, results: Iterable[dict]
 ) -> tuple[SearchCounts, list[list[int]]]:
     # the sieve runs before results is drawn, so it overlaps a pool's scan
-    sieve = _squarefree_total(spec)
+    sieved = None
+    if _plan(spec)[0]:
+        kern = _kernel.get_kernel(spec.field.p, spec.field.k, spec.field.modulus)
+        sieved = _kernel.squarefree_count(kern, *_affine_form(spec))
     squarefree = rank_matched = p_rank_matched = 0
     wits: list[list[int]] = []
     for res in results:
@@ -443,7 +434,7 @@ def _merge(
             wits.extend(res["witnesses"][: spec.collect_limit - len(wits)])
     counts = SearchCounts(
         enumerated=spec.samples if spec.mode == "random" else spec.exhaustive_size(),
-        squarefree=squarefree if sieve is None else sieve,
+        squarefree=squarefree if sieved is None else sieved,
         rank_matched=rank_matched,
         p_rank_matched=p_rank_matched,
     )

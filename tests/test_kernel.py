@@ -487,7 +487,7 @@ def test_join_rows_take_two_bytes_a_value_past_256(monkeypatch):
     # join at genus 1, so the path is forced on for the pieces below
     import cartier.search as search
 
-    monkeypatch.setattr(search, "_rank_one_filter", lambda spec: "join")
+    monkeypatch.setattr(search, "_plan", lambda spec: (True, "join"))
     spec = _family(17, 2, 3, {0: 0, 3: 1}, (1, 2))
     kern = get_kernel(17, 2, spec.field.modulus)
     rows = list(rank_one_survivors(kern, *_affine_form(spec), spec.free))

@@ -25,7 +25,7 @@ from cartier import (
     verify_p_rank_witnesses,
     verify_theorem1,
 )
-from cartier.search import Witness, _rank_one_filter, _sieve_counts
+from cartier.search import Witness, _plan
 
 
 class TestRunSearchSmallFamilies:
@@ -124,7 +124,7 @@ class TestPrefilter:
         )
         assert spec.free == free
         off = spec._replace(prefilter=False)
-        assert (_rank_one_filter(spec), _rank_one_filter(off)) == ("join", None)
+        assert (_plan(spec), _plan(off)) == ((True, "join"), (False, None))
         expected = run_search(off, threads=2).to_dict()
         expected["spec"]["prefilter"] = True
         for threads in (1, 2):
@@ -198,7 +198,7 @@ class TestPrefilter:
             require_smooth=require_smooth,
             factor=Poly(F, (F.zero, -F.one, F.one)) if factor else None,
         )
-        assert _rank_one_filter(spec) == "scan"
+        assert _plan(spec) == (False, "scan")
         off = spec._replace(prefilter=False)
         expected = run_search(off, threads=2).to_dict()
         expected["spec"]["prefilter"] = True
@@ -233,7 +233,7 @@ class TestPrefilter:
             target_a=1,
             require_smooth=require_smooth,
         )
-        assert _rank_one_filter(spec) == "scan"
+        assert _plan(spec) == (False, "scan")
         monkeypatch.setitem(sys.modules, "cartier._columns", None)
         calls = []
         real = _kernel.rows_could_be_rank_le_1
@@ -256,8 +256,8 @@ class TestPrefilter:
     def test_genus_one_skips_the_join(self, F7):
         # the 1 x 1 matrix has rank <= 1 whatever f is, so the join could
         # reject nothing: a genus-1 search checks every candidate
-        assert _rank_one_filter(monic_odd_family(F7, 1, target_a=0)) is None
-        assert _rank_one_filter(monic_odd_family(F7, 2, target_a=1)) == "join"
+        assert _plan(monic_odd_family(F7, 1, target_a=0))[1] is None
+        assert _plan(monic_odd_family(F7, 2, target_a=1)) == (True, "join")
 
     @pytest.mark.parametrize(
         "genus, fixed, samples, where",
@@ -297,7 +297,7 @@ class TestPrefilter:
             target_a=genus - 1,
             require_smooth=True,
         )
-        assert _rank_one_filter(spec) == where
+        assert _plan(spec)[1] == where
         doc = run_search(spec, threads=1).to_dict()
         # once a squarefree candidate on the per-candidate path, else never
         assert len(calls) == (doc["counts"]["squarefree"] if where == "scan" else 0)
@@ -350,8 +350,7 @@ class TestSieveCountedSearches:
         # threads, but for the echoed flag; none of these is rank one
         spec = self._family(p, k, genus, fixed, **kwargs)
         off = spec._replace(prefilter=False)
-        assert (_sieve_counts(spec), _sieve_counts(off)) == (True, False)
-        assert _rank_one_filter(spec) is None
+        assert (_plan(spec), _plan(off)) == ((True, None), (False, None))
         expected = run_search(off, threads=2).to_dict()
         assert expected["matched"] == matched
         expected["spec"]["prefilter"] = True
@@ -414,7 +413,7 @@ class TestSieveCountedSearches:
         spec = self._family(
             5, 1, 4, {0: 0, 1: 1, 2: 1, 9: 1}, target_a=2, require_smooth=True
         )
-        assert _sieve_counts(spec)
+        assert _plan(spec)[0]
         rep, tested = self._tested(monkeypatch, spec, threads)
         assert pool_starts == ([2] if threads == 2 else [])
         assert {self._rank(spec, u) for u in tested} == {2}
@@ -423,7 +422,7 @@ class TestSieveCountedSearches:
         spec = self._family(
             7, 1, 4, {0: 0, 1: 1, 2: 1, 3: 1, 9: 1}, target_a=3, require_smooth=True
         )
-        assert _rank_one_filter(spec) == "join"
+        assert _plan(spec) == (True, "join")
         rep, tested = self._tested(monkeypatch, spec, threads)
         assert {self._rank(spec, u) for u in tested} <= {1}
         assert rep.counts.squarefree == 14710
@@ -435,7 +434,7 @@ class TestSieveCountedSearches:
         spec = self._family(
             5, 1, 4, {0: 0, 1: 1, 2: 1, 9: 1}, target_a=2, collect_limit=5
         )
-        assert _sieve_counts(spec)
+        assert _plan(spec)[0]
         rep, tested = self._tested(monkeypatch, spec, threads)
         assert pool_starts == ([2] if threads == 2 else [])
         assert (rep.matched, tested) == (188, [])
@@ -460,9 +459,85 @@ class TestSieveCountedSearches:
         self, monkeypatch, threads, genus, fixed, kwargs
     ):
         spec = self._family(7, 1, genus, fixed, require_smooth=True, **kwargs)
-        assert not _sieve_counts(spec)
+        assert not _plan(spec)[0]
         rep, tested = self._tested(monkeypatch, spec, threads)
         assert len(tested) == rep.counts.enumerated
+
+
+class TestPlans:
+    """``search._plan`` chooses the sieve, the join and the per-candidate
+    end-row test; every plan it may return gives the same report."""
+
+    PLANS = [
+        (True, "join"), (True, "scan"), (True, None), (False, "scan"), (False, None)
+    ]
+
+    @pytest.mark.parametrize(
+        "p, k, genus, fixed, require_smooth",
+        [
+            # the normalized F_7 genus-3 family, singular models counted
+            (7, 1, 3, {0: 0, 7: 1}, False),
+            # F_25, degree 5, c1 = 1
+            (5, 2, 2, {0: 0, 1: 1, 5: 1}, False),
+            # smooth, with c1 = c2 = 0 reachable: x^3 | f and row 1 is zero
+            (7, 1, 3, {0: 0, 3: 1, 4: 2, 7: 1}, True),
+            # every free slot below the top one is read by both end rows
+            (7, 1, 2, {0: 0, 1: 1, 5: 1}, False),
+        ],
+    )
+    def test_every_plan_gives_one_report(
+        self, monkeypatch, p, k, genus, fixed, require_smooth
+    ):
+        # rank-one exhaustive families whose own plan is the join: each of
+        # the five plans, forced, gives the same whole report at one and
+        # two threads, the sieve's squarefree count and the join's survivors
+        # against counting and testing candidate by candidate
+        import cartier.search as search
+
+        F = make_field(p, k)
+        spec = SearchSpec(
+            field=F,
+            degree=2 * genus + 1,
+            fixed={i: F.element(v) for i, v in fixed.items()},
+            target_a=genus - 1,
+            require_smooth=require_smooth,
+        )
+        assert _plan(spec) == (True, "join")
+        docs = {}
+        for plan in self.PLANS:
+            monkeypatch.setattr(search, "_plan", lambda spec, plan=plan: plan)
+            for threads in (1, 2):
+                doc = run_search(spec, threads=threads).to_dict()
+                docs[plan, threads] = json.dumps(doc)
+        assert len(set(docs.values())) == 1
+        assert json.loads(docs[self.PLANS[0], 1])["matched"] > 0
+
+    def test_join_only_with_the_sieve(self):
+        # over a grid of specs, _plan never joins without the sieve, whose
+        # count alone covers the members the join drops
+        seen = set()
+        fields = [make_field(p, k) for p, k in [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)]]
+        for F, genus, n_fixed, smooth, prefilter, samples in itertools.product(
+            fields, (1, 2, 3), (0, 1, 2, 4), (False, True), (False, True), (None, 100)
+        ):
+            degree = 2 * genus + 1
+            fixed = {i: F.one for i in range(1, min(n_fixed, degree - 1) + 1)}
+            for target_a in (None, *range(genus + 1)):
+                spec = SearchSpec(
+                    field=F,
+                    degree=degree,
+                    fixed=fixed | {0: F.zero, degree: F.one},
+                    samples=samples,
+                    seed=None if samples is None else 1,
+                    target_a=target_a,
+                    require_smooth=smooth,
+                    prefilter=prefilter,
+                )
+                sieve, end_rows = plan = _plan(spec)
+                assert end_rows in ("join", "scan", None)
+                assert end_rows != "join" or sieve
+                seen.add(plan)
+        assert seen >= {(True, "join"), (True, None), (False, "scan"), (False, None)}
 
 
 class TestDeterminism:
@@ -585,7 +660,7 @@ class TestRandomMode:
             collect_limit=9,
         )
         rank_one_spec = monic_odd_family(F7, 2, target_a=1, collect_limit=9)
-        assert search._rank_one_filter(rank_one_spec) == "join"
+        assert search._plan(rank_one_spec) == (True, "join")
         # sizes, then the assignments checked, enumerated, matched, shards
         cases = [
             (random_spec, (1, 3, 7, 40, 2500), (40, 40, 20, 1)),
