@@ -18,10 +18,15 @@ windows of f the end rows read (``end_row_windows``) and every table come
 from the ``TableKernel``, so no field arithmetic and no rule of the end-row
 test is written here a second time.
 
-The pass follows the generic path of Euclid, and forms the end rows by
-Miller's power-series recurrence (``series``), which the tests check lane by
-lane against the kernel's ``poly_pow``.  A lane where a divisor's leading
-coefficient is zero, or where f[v] = 0 at the piece's low-zero count v, is
+The gate follows the generic path of Euclid, each remainder one column
+shorter than its divisor.  Where a divisor's leading coefficient is zero in
+a lane, the lane multiplies that divisor by x - s, s not a root of the
+dividend (x first), until its top is nonzero: the gcd and the columns'
+shapes stay as they were (``euclid_undecided``).  A zero divisor, or a root
+s of both, decides the lane out.  The end rows come from Miller's
+power-series recurrence (``series``), which the tests check lane by lane
+against the kernel's ``poly_pow``.  A lane whose every tried s is a root of
+the dividend alone, or where f[v] = 0 at the piece's low-zero count v, is
 left undecided; scan runs it through the scalar ``squarefree_test`` and
 ``rows_could_be_rank_le_1`` on ``end_rows``, which stay the oracle.
 """
@@ -136,20 +141,73 @@ def _nonzero(col):
     return col != bytes(len(col))
 
 
+# the lanes of a piece left undecided by one Euclid with the shift by x
+# alone from which on the pass runs them again with every shift.  That costs
+# about 0.2 ms a piece on script 2's few such lanes, and 5 us a lane on the
+# 370 of a piece of the F_7 family with c0 = 0; the scalar gate 6-8 us a lane
+_PACKED_LANES = 64
+
+
 def euclid_undecided(L, a, b):
-    """Euclid on the columns a and b, generic path: the mask of lanes where
-    some divisor's leading coefficient is zero.  In every other lane the
-    remainders' degrees fall one at a time down to a unit, so gcd(a, b) = 1."""
-    a = list(a)
+    """Euclid on the columns a and b, a with a nonzero top in every lane:
+    (the mask of lanes where gcd(a, b) != 1, the mask of lanes left
+    undecided).  It runs on every lane with the shift by x alone; where at
+    least ``_PACKED_LANES`` lanes need another, it runs those again, packed
+    into narrower columns, with every shift x - s, s in F_q."""
+    out, undecided = _euclid(L, a, b, (0,))
     n = len(b[0])
-    undecided = 0
+    picked = undecided.to_bytes(n, "little")
+    if picked.count(1) >= _PACKED_LANES:
+        lanes = list(compress(range(n), picked))
+        packed = [[bytes(map(col.__getitem__, lanes)) for col in x] for x in (a, b)]
+        out_2, undecided = _euclid(L, *packed, range(L.kern.q))
+        out |= _spread(out_2, lanes, n)
+        undecided = _spread(undecided, lanes, n)
+    return out, undecided
+
+
+def _euclid(L, a, b, shifts):
+    """``euclid_undecided`` with the given shifts, on every lane.
+
+    Euclid's generic path: each divisor has a nonzero top, so the
+    remainders' degrees fall one at a time down to a unit, and gcd(a, b) =
+    1.  Where a divisor's top is zero in a lane, the lane multiplies it by
+    x - s for the first s of ``shifts`` with a(s) != 0, until its top is
+    nonzero; gcd(a, (x - s) b) = gcd(a, b) as x - s does not divide a, so
+    the step count and the columns' lengths stay those of the generic path.
+    The lane is out where the divisor is zero (gcd(a, 0) = a, of degree at
+    least 1) or where a and b share a root s tried on the way, and undecided
+    where each s is a root of a alone; a decided or undecided lane keeps its
+    verdict through the later steps."""
+    a, b = list(a), list(b)
+    n = len(b[0])
+    out = undecided = 0
     while True:
-        top = b[-1]
-        undecided |= L.zeros(top)
+        # the lanes whose top 1, 2, ... columns of b are zero
+        tops = [L.zeros(b[-1]) & ~(out | undecided)]
+        for col in b[-2::-1]:
+            if not tops[-1]:
+                break
+            tops.append(tops[-1] & L.zeros(col))
+        zero = tops[-1] if len(tops) == len(b) else 0
+        out |= zero
+        top = tops[0] & ~zero
+        for s in shifts:
+            if not top:
+                break
+            a_root = L.zeros(_value(L, a, s)) & top
+            if top & ~a_root:
+                b = _shifted(L, b, s, [x & top & ~a_root for x in tops if x])
+            if a_root:
+                b_root = L.zeros(_value(L, b, s))
+                out |= a_root & b_root
+                a_root &= ~b_root
+            top = a_root
+        undecided |= top
         db = len(b) - 1
         if not db:
-            return undecided
-        minus_inv = L.log(L.neg(L.inv(top)))
+            return out, undecided
+        minus_inv = L.log(L.neg(L.inv(b[-1])))
         logs = [L.log(x) if _nonzero(x) else None for x in b[:db]]
         for i in range(len(a) - 1 - db, -1, -1):  # a -= (a_top / b_top) x^i b
             lq = L.log(L.exp(L.log(a[db + i]) + minus_inv, n))
@@ -158,6 +216,47 @@ def euclid_undecided(L, a, b):
                     a[i + j] = L.add(a[i + j], L.exp(lq + lb, n))
         del a[db:]
         a, b = b, a
+
+
+def _value(L, cols, s):
+    """The column of the lanes' values at x = s, for the encoding s, of the
+    polynomial whose coefficient columns are cols, by Horner."""
+    if not s:
+        return cols[0]
+    value = cols[-1]
+    for col in cols[-2::-1]:
+        value = L.add(L.scale(value, s), col)
+    return value
+
+
+def _shifted(L, b, s, rounds):
+    """b times x - s once in the lanes of each mask of rounds, where b's top
+    is zero at that round, and b in the other lanes.  The lanes are picked
+    from each round's product as integers."""
+    n = len(b[0])
+    ints = [int.from_bytes(col, "little") for col in b]
+    for lanes in rounds:
+        up = [0, *ints[:-1]]  # x b, its top (zero in the lanes) dropped
+        if s:  # x b - s b
+            cols = [x.to_bytes(n, "little") for x in ints]
+            minus_s = L.kern.neg[s]
+            up = [
+                int.from_bytes(L.add(x, L.scale(col, minus_s)), "little")
+                for x, col in zip([bytes(n), *cols], cols)
+            ]
+        pick = lanes * 255
+        keep = ~pick
+        ints = [x & pick | y & keep for x, y in zip(up, ints)]
+    return [x.to_bytes(n, "little") for x in ints]
+
+
+def _spread(mask, lanes, n):
+    """The mask over n lanes holding the given narrow mask's bytes at the
+    given lanes, zero elsewhere."""
+    spread = bytearray(n)
+    for lane, bit in zip(lanes, mask.to_bytes(len(lanes), "little")):
+        spread[lane] = bit
+    return int.from_bytes(spread, "little")
 
 
 def series(L, a, e, n):
@@ -190,8 +289,9 @@ def series(L, a, e, n):
 
 
 # a lane's code: bits for the gate decided out (u vanishes at a root of the
-# factor) and undecided, and for the end-row test undecided and decided out
-# (a nonzero 2x2 minor); a lane with none of them passed each stage run
+# factor, or Euclid finds a common factor) and undecided, and for the
+# end-row test undecided and decided out (a nonzero 2x2 minor); a lane with
+# none of them passed each stage run
 _GATE_OUT, _GATE_OPEN, _ROWS_OPEN, _ROWS_OUT = 1, 2, 4, 8
 
 
@@ -226,27 +326,21 @@ def _gate(L, u, split):
     """The gate's bits of each lane's code, for the cofactor columns u and
     the factor's ``_cofactor_split``."""
     n = len(u[0])
-    ones = int.from_bytes(b"\1" * n, "little")
     if split is None:  # the factor is not squarefree
-        return ones * _GATE_OUT
+        return int.from_bytes(b"\1" * n, "little") * _GATE_OUT
     roots, rest = split
-    out = 0
-    for r in roots:  # u(r) by Horner
-        value = u[-1] if r else u[0]
-        for col in u[-2::-1] if r else ():
-            value = L.add(L.scale(value, r), col)
-        out |= L.zeros(value)
-    undecided = 0
-    if len(rest) > 1:
-        undecided |= euclid_undecided(L, u, [L.column(x, n) for x in rest])
+    out = undecided = 0
+    for r in roots:
+        out |= L.zeros(_value(L, u, r))
     p = L.kern.char
     derivative = [L.scale(col, i % p) for i, col in enumerate(u) if i]
-    while derivative and not _nonzero(derivative[-1]):
-        derivative.pop()
-    if derivative:
-        undecided |= euclid_undecided(L, u, derivative)
-    elif len(u) > 1:
-        undecided = ones  # u' = 0 in every lane
+    while len(derivative) > 1 and not _nonzero(derivative[-1]):
+        derivative.pop()  # a zero u' stays one zero column: every lane out
+    for b in [L.column(x, n) for x in rest], derivative:
+        if b:
+            out_b, open_b = euclid_undecided(L, u, b)
+            out |= out_b
+            undecided |= open_b
     return out * _GATE_OUT | undecided * _GATE_OPEN
 
 
@@ -280,25 +374,26 @@ def _end_rows(L, f, g):
     return undecided * _ROWS_OPEN | int.from_bytes(out, "little") * _ROWS_OUT
 
 
-def column_pass(kern, task, u, values):
-    """The scan loop's candidates for a piece of random draws, whose
-    values (one tuple a lane, as scan zips them) ``values`` yields: (the
+def column_pass(kern, task, u):
+    """The scan loop's candidates for a piece of random draws: (the
     squarefree lanes the loop does not visit, an iterator of (values,
-    squarefree, rows pass, f) over the lanes it does, in lane order).  A
-    verdict is True or False where the pass decided it, None where it did
-    not; f is the product.  The loop visits every lane the pass left
-    undecided at the gate, and every lane no decided stage put out."""
+    squarefree, rows pass, f) over the lanes it does, in lane order).  The
+    values are the lane's draws, as scan zips them; a verdict is True or
+    False where the pass decided it, None where it did not; f is the
+    product.  The loop visits every lane the pass left undecided at the
+    gate, and every lane no decided stage put out."""
     L = lanes_for(kern)
     codes, f = lane_codes(L, task, u)
     sq, ok, visit = zip(*[_verdicts(c, task["require_smooth"]) for c in range(16)])
     visits = codes.translate(bytes(visit).ljust(256, b"\0"))
     unvisited_sq = bytes(s is True and not v for s, v in zip(sq, visit))
     n_sq = codes.translate(unvisited_sq.ljust(256, b"\0")).count(1)
-    picked = bytes(compress(codes, visits))
-    values = compress(values, visits)
-    fs = compress(zip(*[col.translate(L.decode) for col in f]), visits)
-    return n_sq, zip(
-        values, map(sq.__getitem__, picked), map(ok.__getitem__, picked), map(list, fs)
+    nf = len(task["free"])
+    draws = task["draws"]
+    f = [col.translate(L.decode) for col in f]
+    return n_sq, (
+        (draws[i * nf : i * nf + nf], sq[codes[i]], ok[codes[i]], [col[i] for col in f])
+        for i in compress(range(len(codes)), visits)
     )
 
 

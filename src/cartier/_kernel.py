@@ -40,10 +40,12 @@ A random piece of at least ``_COLUMN_LANES`` draws that runs the end-row
 test, over a field with byte lanes (``TableKernel.byte_lanes``: F_p for
 p <= 61, F_9, F_25 and F_49), first takes the column pass (``_columns``):
 its gate, product and end-row test for every candidate at once, in the
-kernel's lane format.  It leaves a candidate undecided where the generic
-path of its Euclid or its Miller series meets a zero leading coefficient or
-f[v] = 0; the scan loop visits only those and the ones no decided stage put
-out.
+kernel's lane format.  Its Euclid multiplies a divisor whose leading
+coefficient is zero in a lane by x - s, s not a root of the dividend, until
+the top is nonzero, which keeps the gcd.  It leaves a candidate undecided
+only where every s it tries is a root of the dividend alone, or where its
+Miller series meets f[v] = 0; the scan loop visits only those and the ones
+no decided stage put out.
 
 A task is a top-coefficient shard of an exhaustive search or a piece of
 assignments: random draws or survivors of ``rank_one_survivors``.  The
@@ -705,11 +707,12 @@ def squarefree_count(kern, f0, basis):
 
 # the draws a random piece that runs the end-row test needs for the column
 # pass (``_columns``).  Its fixed cost, once per process, is the module's
-# import, 4.5-5 ms with the source compiled afresh, and its tables, about
-# 0.4 ms for F_49 or F_61; it saves about 13.5 us a lane (script 2: 15.0-15.4
-# us against 1.8 us a candidate), so repays that from about 400 lanes.  A
-# piece that runs the gate alone saves only 0.4-4 us a lane.  Set-up runs,
-# shards and survivor pieces never load the module
+# import, 3.5-6 ms with the source compiled afresh, and its tables, about
+# 0.4 ms for F_49 or F_61; it saves about 14 us a lane (script 2: 15.0-15.4
+# us against 0.9-1.0 us a candidate, 1.8 us before the gate shifted its
+# divisors), so repays that from about 450 lanes.  A piece that runs the
+# gate alone saves only 0.4-4 us a lane.  Set-up runs, shards and survivor
+# pieces never load the module
 _COLUMN_LANES = 512
 
 
@@ -771,7 +774,7 @@ def scan(task: dict) -> dict:
         if prefilter and kern.byte_lanes and task["count"] >= _COLUMN_LANES:
             from ._columns import column_pass
 
-            passed = column_pass(kern, task, u, values)
+            passed = column_pass(kern, task, u)
     else:
         # the shard fixes the top free coefficient; product varies its last
         # slot fastest, so the lowest free index moves fastest

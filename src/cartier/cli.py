@@ -43,12 +43,6 @@ from .search import (
     WorkerDiedError,
     run_search,
 )
-from .suites import (
-    reproduce_script,
-    verify_genus_p_minus_1,
-    verify_p_rank_witnesses,
-    verify_theorem1,
-)
 
 __all__ = ["main"]
 
@@ -332,6 +326,9 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # imported here, so that only verify and reproduce runs load the suites
+    from .suites import verify_genus_p_minus_1, verify_p_rank_witnesses, verify_theorem1
+
     if args.suite == "theorem1":
         if args.p is None or args.genus is None:
             raise ValueError("verify theorem1 needs --p and --genus")
@@ -361,6 +358,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
+    from .suites import reproduce_script
+
     draws = {"seed": args.seed, "samples": args.samples}
     draws = {key: value for key, value in draws.items() if value is not None}
     if draws and args.script == 1:

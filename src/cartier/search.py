@@ -78,14 +78,16 @@ _RANDOM_SHARD_SAMPLES = 100_000
 _PIECE = 2_500
 # the candidates that repay a pool: on a 2-core Xeon host the fork pool's
 # import, start and teardown cost about 20 ms.  Script 2's 20 000 samples,
-# about 36 ms of scan at the column pass's 1.8 us a candidate, took 44-46 ms
-# in-process at two workers against 38-40 ms at one: half the scan saved,
-# 6 ms more spent.  The per-candidate path of shards and survivor pieces
-# costs 15-30 us a candidate (kernel.scan_us_per_cand of perfbench/run.py
-# --trace 1 on witness-heavy), so a second worker, saving half the scan,
-# repays 20 ms from 2 x 20 ms / (15-30 us), about 1 300-2 700 candidates; a
-# sieve-counted task costs less a candidate, so it breaks even later, not
-# sooner, and a random piece the column pass takes only past about 22 000.
+# about 36 ms of scan when the column pass took 1.8 us a candidate, took
+# 44-46 ms in-process at two workers against 38-40 ms at one: half the scan
+# saved, 6 ms more spent.  The per-candidate path of shards and survivor
+# pieces costs 15-30 us a candidate (kernel.scan_us_per_cand of
+# perfbench/run.py --trace 1 on witness-heavy), so a second worker, saving
+# half the scan, repays 20 ms from 2 x 20 ms / (15-30 us), about 1 300-2 700
+# candidates; a sieve-counted task costs less a candidate, so it breaks even
+# later, not sooner, and a random piece the column pass takes, at 0.9-1.0 us
+# a candidate since its gate shifts Euclid's divisors, only past about
+# 40 000.
 # A search of at most this many runs in this process: below that
 # break-even, so moving the value up waits for benchmark pairs of its own
 _WORKER_CANDIDATES = 1_000

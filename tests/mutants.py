@@ -100,6 +100,27 @@ MUTANTS = [
         "    return [L.scale(x, 2) for x in out], L.zeros(a[0])\n",
         ("tests/test_kernel.py",),
     ),
+    Mutant(
+        "column-shift-ignores-roots-of-a",
+        "src/cartier/_columns.py",
+        "            a_root = L.zeros(_value(L, a, s)) & top\n",
+        "            a_root = 0\n",
+        ("tests/test_kernel.py",),
+    ),
+    Mutant(
+        "column-zero-divisor-coprime",
+        "src/cartier/_columns.py",
+        "        out |= zero\n",
+        "",
+        ("tests/test_kernel.py",),
+    ),
+    Mutant(
+        "cofactor-test-skips-roots",
+        "src/cartier/_kernel.py",
+        "            if not acc:\n                return False\n",
+        "",
+        ("tests/test_kernel.py",),
+    ),
 ]
 
 _IGNORE = shutil.ignore_patterns(

@@ -558,6 +558,40 @@ class TestStartupImports:
         assert json.loads(out)["counts"]["enumerated"] == 9
         assert loaded == []
 
+    # the last stderr line says whether the run loaded the suites
+    SUITES_PROBE = (
+        "import sys\n"
+        "from cartier.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print('cartier.suites' in sys.modules, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+
+    def test_search_does_not_load_the_suites(self):
+        argv = [*WORKLOADS["workloads"]["theorem1-f9"]["setup_argv"], "--threads", "1"]
+        out, loaded = run_probe(self.SUITES_PROBE, *argv)
+        assert json.loads(out)["counts"]["enumerated"] == 9
+        assert loaded == ["False"]
+
+    def test_reproduce_loads_the_suites(self):
+        argv = ["reproduce", "--script", "2", "--samples", "10", "--threads", "1"]
+        out, loaded = run_probe(self.SUITES_PROBE, *argv)
+        assert json.loads(out)["reproduces"]
+        assert loaded == ["True"]
+
+    def test_package_names_resolve_on_first_access(self):
+        import importlib
+
+        import cartier
+
+        for module, names in cartier._PUBLIC.items():
+            source = importlib.import_module(f"cartier.{module}")
+            for name in names:
+                assert getattr(cartier, name) is getattr(source, name), name
+        assert set(dir(cartier)) >= set(cartier.__all__)
+        with pytest.raises(AttributeError):
+            cartier.no_such_name
+
 
 class TestArgumentErrors:
     def test_no_command(self, capsys):

@@ -27,9 +27,10 @@ from cartier import (
     parse_poly,
     run_search,
 )
-from cartier import _columns
+from cartier import _columns, _kernel
 from cartier._kernel import (
     TableKernel,
+    _cofactor_split,
     _irreducibles,
     end_row_windows,
     end_rows,
@@ -819,22 +820,43 @@ def test_column_pass_verdicts_equal_the_scalar_path(p, k, genus, fixed, factor):
     (task,) = _make_tasks(spec, DEFAULT_BUDGET)
     assert task["prefilter"] and task["count_squarefree"]
     lanes = _check_lanes(kern, task)
-    assert {sq for _, _, sq, _ in lanes} >= {True, None}
+    assert {sq for _, _, sq, _ in lanes} >= {True, False}
     assert {ok for _, _, _, ok in lanes} >= {False, None}
 
 
-def _first_open_step(kern, a, b):
-    """The Euclid step at which the generic path of gcd(a, b) meets a
-    divisor with a zero leading coefficient, or None: each remainder kept
-    one entry shorter than its divisor, as the column pass keeps it."""
+def _shifted_gcd(kern, a, b, shifts):
+    """Euclid on one lane, as the column pass runs it with the given shifts:
+    (True where gcd(a, b) = 1, False where it is not, None where undecided;
+    the shifts taken).  Each remainder is kept one entry shorter than its
+    divisor; a divisor with a zero top is multiplied by x - s for the first
+    s of ``shifts`` with a(s) != 0 until its top is nonzero.  A zero divisor
+    or a root s of both a and b decides False, and a divisor whose every s
+    is a root of a alone leaves the lane undecided."""
     add, mul, neg, inv = kern.add, kern.mul, kern.neg, kern.inv
+
+    def value(c, s):
+        acc = 0
+        for x in reversed(c):
+            acc = add[mul[s][acc]][x]
+        return acc
+
     a, b = list(a), list(b)
-    for step in itertools.count():
+    taken = []
+    while True:
         if not b[-1]:
-            return step
+            if not any(b):
+                return False, taken
+            s = next((s for s in shifts if value(a, s) or not value(b, s)), None)
+            if s is None:
+                return None, taken
+            if not value(a, s):
+                return False, taken
+            taken.append(s)
+            while not b[-1]:
+                b = [add[x][neg[mul[s][y]]] for x, y in zip([0, *b], b)]
         db = len(b) - 1
         if not db:
-            return None
+            return True, taken
         for i in range(len(a) - 1 - db, -1, -1):
             c = mul[a[db + i]][inv[b[-1]]]
             for j in range(db):
@@ -842,61 +864,186 @@ def _first_open_step(kern, a, b):
         a, b = b, a[:db]
 
 
-def test_column_gate_leaves_each_euclid_step_undecided():
+def _gate_model(kern, factor, us):
+    """Each cofactor's gate verdict as the column pass decides it on a
+    piece holding the cofactors us (None where it leaves the lane to the
+    scalar test), from ``_shifted_gcd``: a root of the factor decides False;
+    then Euclid against N and against u' (its top entries dropped while
+    they are zero in every lane, down to one), by x alone, and again with
+    every shift of F_q for the lanes left undecided when at least
+    ``_PACKED_LANES`` of them are; then the shifts each lane took."""
+    add, mul = kern.add, kern.mul
+    roots, rest = _cofactor_split(kern, factor)
+    p = kern.char
+
+    def vanishes(u, r):
+        acc = 0
+        for x in reversed(u):
+            acc = add[mul[r][acc]][x]
+        return not acc
+
+    derivatives = [[i * x % p for i, x in enumerate(u)][1:] for u in us]
+    while len(derivatives[0]) > 1 and not any(d[-1] for d in derivatives):
+        for d in derivatives:
+            d.pop()
+    verdicts = [{False} if any(vanishes(u, r) for r in roots) else set() for u in us]
+    taken = [[] for _ in us]
+    for divisors in ([rest] * len(us), derivatives):
+        runs = [_shifted_gcd(kern, u, b, (0,)) for u, b in zip(us, divisors)]
+        if sum(v is None for v, _ in runs) >= _columns._PACKED_LANES:
+            runs = [
+                _shifted_gcd(kern, u, b, range(kern.q)) if v is None else (v, t)
+                for u, b, (v, t) in zip(us, divisors, runs)
+            ]
+        for lane, (v, t) in enumerate(runs):
+            verdicts[lane].add(v)
+            taken[lane] += t
+    gate = [False if False in v else None if None in v else True for v in verdicts]
+    return gate, taken
+
+
+def _gate_lanes(kern, spec, values):
+    """The pass's lanes on a piece of ``spec`` holding the given cofactor
+    values, checked by ``_check_lanes``, each lane's gate verdict equal to
+    ``_gate_model``'s; returns the lanes and the shifts each took."""
+    task = _piece(spec, values)
+    lanes = _check_lanes(kern, task)
+    us = [u for u, _, _, _ in lanes]
+    model, taken = _gate_model(kern, task["factor"], us)
+    for (u, _, sq, _), verdict in zip(lanes, model):
+        assert sq == verdict, u
+    return lanes, taken
+
+
+def test_column_gate_decides_every_monic_quintic_over_f5():
     # every monic cofactor of degree 5 over F_5: u' = 4 c4 x^3 + ... is one
-    # column short, and the lanes whose generic Euclid first meets a zero
-    # leading coefficient at step 0, 1, 2 or 3 (u = x^5 + c among them: u'
-    # = 0) are exactly those the gate leaves open; every other lane is
-    # squarefree
+    # column short, so divisors with a zero top are shifted by x or, where
+    # the dividend vanishes at 0, by x - 1 and on.  Only u = x^5 - x, whose
+    # u' = -1 meets a dividend with every root, is left open; u = x^5 + c
+    # (u' = 0) is decided out
     F = make_field(5)
     kern = get_kernel(5, 1, F.modulus)
     spec = SearchSpec(field=F, degree=5, fixed={5: F.one}, samples=1, seed=1)
-    lanes = _check_lanes(kern, _piece(spec, itertools.product(range(5), repeat=5)))
-    steps = set()
+    lanes, taken = _gate_lanes(kern, spec, itertools.product(range(5), repeat=5))
+    assert [u for u, _, sq, _ in lanes if sq is None] == [[0, 4, 0, 0, 0, 1]]
+    assert {sq for _, _, sq, _ in lanes} == {True, False, None}
+    assert {s for t in taken for s in t} == {0, 1, 2, 3}
     for u, _, sq, _ in lanes:
-        step = _first_open_step(kern, u, [i * x % 5 for i, x in enumerate(u)][1:-1])
-        assert (sq is None) == (step is not None), u
-        steps.add(step)
-    assert steps == {None, 0, 1, 2, 3}
+        if not any(u[1:5]):
+            assert sq is False
 
 
 def test_column_gate_under_a_factor_with_rest():
-    # F = x (x^2 + 1) over F_7: the root 0 decides lanes out, gcd(u, N)
-    # leaves lanes open where u mod N is constant (N is irreducible, so no
-    # linear remainder divides it), and gcd(u, u') at every step past u'
-    # itself, whose leading coefficient is 4
+    # F = x (x^2 + 1) over F_7: the root 0 decides lanes out, and gcd(u, N)
+    # and gcd(u, u') shift divisors with a zero top (N is irreducible, so a
+    # remainder u mod N that is a constant is a unit and one that is zero
+    # puts the lane out); no lane is left open
     F = make_field(7)
     kern = get_kernel(7, 1, F.modulus)
     spec = SearchSpec(
         field=F, degree=7, fixed={4: F.one}, samples=1, seed=1,
         factor=Poly.from_ints(F, [0, 1, 0, 1]),
     )
-    lanes = _check_lanes(kern, _piece(spec, itertools.product(range(7), repeat=4)))
-    rest = [1, 0, 1]
-    steps = {"rest": set(), "u'": set()}
+    lanes, taken = _gate_lanes(kern, spec, itertools.product(range(7), repeat=4))
+    assert {sq for _, _, sq, _ in lanes} == {True, False}
+    assert {s for t in taken for s in t} == {0, 1, 2}
     for u, _, sq, _ in lanes:
         if not u[0]:
             assert sq is False
-            continue
-        open_rest = _first_open_step(kern, u, rest)
-        open_du = _first_open_step(kern, u, [i * x % 7 for i, x in enumerate(u)][1:])
-        assert (sq is None) == (open_rest is not None or open_du is not None), u
-        steps["rest"].add(open_rest)
-        steps["u'"].add(open_du)
-    assert steps == {"rest": {None, 1}, "u'": {None, 1, 2, 3}}
 
 
 def test_column_gate_with_u_prime_zero_in_every_lane():
-    # u = x^5 + c over F_5 has u' = 0: the gate leaves every lane open, and
-    # the scalar test finds none squarefree
+    # u = x^5 + c over F_5 has u' = 0: gcd(u, 0) = u, so the gate decides
+    # every lane out, and the scalar test finds none squarefree
     F = make_field(5)
     kern = get_kernel(5, 1, F.modulus)
     fixed = {i: F.zero for i in range(1, 5)} | {5: F.one}
     spec = SearchSpec(field=F, degree=5, fixed=fixed, samples=1, seed=1)
-    lanes = _check_lanes(kern, _piece(spec, [(c,) for c in range(5)] * 120))
-    assert {sq for _, _, sq, _ in lanes} == {None}
+    lanes, _ = _gate_lanes(kern, spec, [(c,) for c in range(5)] * 120)
+    assert {sq for _, _, sq, _ in lanes} == {False}
     test = squarefree_test(kern, None)
     assert not any(test(u) for u, _, _, _ in lanes)
+
+
+def test_column_gate_with_a_root_at_zero_in_every_lane():
+    # genus 4 over F_7 with c0 = 0: u(0) = 0 in every lane, so every divisor
+    # shifted by x makes the next dividend vanish at 0 too; the lanes the
+    # shift by x leaves open run again with every shift, and none is left
+    F = make_field(7)
+    kern = get_kernel(7, 1, F.modulus)
+    spec = SearchSpec(
+        field=F, degree=9, fixed={0: F.zero, 9: F.one}, samples=1, seed=1,
+        require_smooth=True, target_a=3,
+    )
+    rng = random.Random(7)
+    values = [[rng.randrange(7) for _ in range(8)] for _ in range(2500)]
+    lanes, taken = _gate_lanes(kern, spec, values)
+    assert {sq for _, _, sq, _ in lanes} == {True, False}
+    assert {s for t in taken for s in t} == {0, 1, 2, 3, 4}
+
+
+@pytest.mark.parametrize("shifts", [(0,), (0, 1), range(7)])
+def test_shifted_euclid_matches_the_scalar_model(shifts):
+    # the lanes' Euclid with each set of shifts, against the model lane by
+    # lane: u against u' for monic u of degree 6 over F_7 with u(0) = 0
+    # (every lane) or not, and u against x^2 + 1
+    F = make_field(7)
+    kern = get_kernel(7, 1, F.modulus)
+    L = _columns.lanes_for(kern)
+    rng = random.Random(3)
+    us = [[rng.randrange(7) * (i > 0 or lane % 2) for i in range(6)] + [1]
+          for lane in range(1500)]
+    u_cols = [bytes(L.form[u[i]] for u in us) for i in range(7)]
+    derivative = lambda u: [i * x % 7 for i, x in enumerate(u)][1:]  # noqa: E731
+    # only u' leaves lanes open, and only with fewer shifts than F_7 has
+    for divisor, opens in ((derivative, len(shifts) < 7), (lambda u: [1, 0, 1], False)):
+        b_cols = [bytes(L.form[x] for x in col) for col in zip(*map(divisor, us))]
+        out, undecided = _columns._euclid(L, u_cols, b_cols, shifts)
+        out = out.to_bytes(len(us), "little")
+        undecided = undecided.to_bytes(len(us), "little")
+        verdicts = [_shifted_gcd(kern, u, divisor(u), shifts)[0] for u in us]
+        assert list(out) == [v is False for v in verdicts]
+        assert list(undecided) == [v is None for v in verdicts]
+        assert False in verdicts and (None in verdicts) == opens
+
+
+def _gate_open_lanes(argv):
+    """(the lanes the gate leaves open, the lanes) over the pieces of a
+    serial CLI search."""
+    tasks = []
+    real = _kernel.scan
+
+    def scan(task):
+        tasks.append(task)
+        return real(task)
+
+    with mock.patch.object(_kernel, "scan", scan):
+        assert main([*argv, "--threads", "1"]) == 0
+    open_lanes = 0
+    for task in tasks:
+        kern = get_kernel(task["p"], task["k"], tuple(task["modulus"]))
+        factor = task["factor"]
+        u = [0] * (task["degree"] + 1 - (len(factor) - 1 if factor else 0))
+        for i, x in task["fixed"]:
+            u[i] = x
+        codes, _ = _columns.lane_codes(_columns.lanes_for(kern), task, u)
+        open_lanes += sum(_columns._verdicts(c, True)[0] is None for c in codes)
+    return open_lanes, sum(task["count"] for task in tasks)
+
+
+@pytest.mark.parametrize(
+    "argv, open_lanes",
+    [
+        # script 2: 2 195 lanes before the shifts, 60 by x alone, each piece
+        # too few to pack
+        (["reproduce", "--script", "2", "--seed", "1", "--samples", "20000"], 60),
+        # 14 905 before the shifts, 2 951 by x alone
+        ("search --p 7 --genus 4 --fix c0=0,c9=1 --random --samples 20000 --seed 1 "
+         "--require-smooth --target-a 3".split(), 0),
+    ],
+)
+def test_column_gate_open_lanes_are_pinned(argv, open_lanes, capsys):
+    assert _gate_open_lanes(argv) == (open_lanes, 20000)
 
 
 @pytest.mark.parametrize("p, fixed, v", [(7, {0: 0, 5: 1}, 1), (11, {5: 1}, 0)])
